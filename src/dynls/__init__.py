@@ -26,9 +26,8 @@ from dynls.bitcore import (
 )
 from dynls.dls_engine import (
     DlsDecomposition,
-    PeriodicScheduler,
     Realization,
-    TraceScheduler,
+    Schedule,
     derived_affine_family,
     derived_xor_family,
     realize_step,
@@ -47,7 +46,6 @@ from dynls.tm import (
     TmProgram,
     binary_incrementer,
     endless_counter,
-    instruction_scheduler,
     run,
     transition_components,
 )
@@ -76,16 +74,15 @@ __all__ = [
     "Machine",
     "NotABijectionError",
     "OsEntropySource",
-    "PeriodicScheduler",
     "PermTable",
     "QrngSource",
     "Realization",
+    "Schedule",
     "SeededSource",
     "SourceFailure",
     "StreamTransform",
     "TmConfig",
     "TmProgram",
-    "TraceScheduler",
     "XorFamily",
     "binary_incrementer",
     "compile_step",
@@ -93,7 +90,6 @@ __all__ = [
     "derived_xor_family",
     "endless_counter",
     "identity_map",
-    "instruction_scheduler",
     "is_bijection",
     "level_set",
     "parse",

@@ -276,16 +276,6 @@ def print_program(program: AemProgram) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def read_program(path) -> AemProgram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
-def write_program(path, program: AemProgram) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(print_program(program))
-
-
 # ---------------------------------------------------------------------------
 # execution
 
@@ -639,7 +629,7 @@ def run_utm_realization(
         real = dls.realize(j, bit)
         if real.state != pair:
             raise ValueError(
-                f"scheduler produced {real.state!r} at step {j} but the "
+                f"schedule produced {real.state!r} at step {j} but the "
                 f"machine trace has {pair!r}; drive both from the same run"
             )
         base = EPOCH_TICKS * j

@@ -1,22 +1,25 @@
 """Blockwise transformation of bit streams under a scheduled map family.
 
 A stream of n*k bits splits into k blocks of n; block j (counting from 0)
-passes through the family member named by the schedule at j.  Recovery runs
-the same schedule against the inverse maps, so a receiver that knows the
-family and the schedule gets the original stream back bit for bit.
+passes through the family member whose index a :class:`Schedule` names at
+step j.  Recovery runs the same schedule against the inverse maps, so a
+receiver that knows the family and the schedule gets the original stream
+back bit for bit.
 
 Work happens on numpy arrays: blocks pack into integers with a power-of-two
 matmul, go through precomputed lookup tables (one per family member, which
-caps the block width at 16), and unpack with shifts.
+caps the block width at 16), and unpack with shifts.  The schedule's period
+becomes an index array once, and each call tiles it across its blocks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bitcore import InvertibleMap
+from .dls_engine import Schedule
 
 MAX_STREAM_WIDTH = 16
 
@@ -77,27 +80,14 @@ class BitStream:
         return f"BitStream({len(self)} bits: {head}{tail})"
 
 
-def periodic_schedule(period: int) -> Callable[[int], int]:
-    """j -> j mod period."""
-    if period < 1:
-        raise ValueError("period must be positive")
-    return lambda j: j % period
-
-
-def cycling_schedule(values: Sequence[int]) -> Callable[[int], int]:
-    """Repeats a fixed value list."""
-    if not values:
-        raise ValueError("schedule values must be nonempty")
-    vals = list(values)
-    return lambda j: vals[j % len(vals)]
-
-
 class StreamTransform:
-    """Applies a scheduled family of invertible maps block by block."""
+    """Applies a scheduled family of invertible maps block by block.
 
-    def __init__(
-        self, maps: Sequence[InvertibleMap], schedule: Callable[[int], int]
-    ) -> None:
+    Block j goes through ``maps[schedule.state_at(j)]``, so every schedule
+    value must index ``maps``.
+    """
+
+    def __init__(self, maps: Sequence[InvertibleMap], schedule: Schedule) -> None:
         if not maps:
             raise ValueError("need at least one map")
         widths = {m.width for m in maps}
@@ -108,22 +98,14 @@ class StreamTransform:
             raise ValueError(
                 f"block width {self.width} exceeds table cap {MAX_STREAM_WIDTH}"
             )
-        self.schedule = schedule
+        if not len(schedule):
+            raise ValueError("schedule is empty")
+        if any(not 0 <= v < len(maps) for v in schedule.values):
+            raise ValueError("schedule names an index outside the family")
+        self._period = np.array(schedule.values, dtype=np.int64)
         self._fwd = np.stack([m.to_table_array() for m in maps])
         self._inv = np.stack([m.invert().to_table_array() for m in maps])
         self._powers = np.int64(1) << np.arange(self.width, dtype=np.int64)
-        self._sched: np.ndarray = np.empty(0, dtype=np.int64)
-
-    def _schedule_array(self, nblocks: int) -> np.ndarray:
-        if nblocks > self._sched.size:
-            nmaps = self._fwd.shape[0]
-            extra = [self.schedule(j) for j in range(self._sched.size, nblocks)]
-            if any(not 0 <= v < nmaps for v in extra):
-                raise ValueError("schedule produced an index outside the family")
-            self._sched = np.concatenate(
-                [self._sched, np.array(extra, dtype=np.int64)]
-            )
-        return self._sched[:nblocks]
 
     def _apply(self, stream: BitStream, tables: np.ndarray) -> BitStream:
         n = self.width
@@ -133,7 +115,9 @@ class StreamTransform:
         if nblocks == 0:
             return stream
         values = stream.bits.reshape(nblocks, n).astype(np.int64) @ self._powers
-        out_vals = tables[self._schedule_array(nblocks), values]
+        # np.tile, not np.resize: resize concatenates one copy per repeat
+        reps = -(-nblocks // self._period.size)
+        out_vals = tables[np.tile(self._period, reps)[:nblocks], values]
         out_bits = ((out_vals[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(
             np.uint8
         )

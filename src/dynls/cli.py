@@ -17,11 +17,11 @@ from pathlib import Path
 from . import __version__
 from .aem import UtmRunReport, run_utm_realization, trace_to_jsonl
 from .bitcore import read_map
-from .blockstream import BitStream, StreamTransform, cycling_schedule, periodic_schedule
+from .blockstream import BitStream, StreamTransform
 from .dls_engine import (
     MAX_EXACT_WIDTH,
     DlsDecomposition,
-    TraceScheduler,
+    Schedule,
     derived_affine_family,
     derived_xor_family,
     sampled_secrecy_report,
@@ -179,7 +179,7 @@ def cmd_run_utm(args) -> int:
         dls = DlsDecomposition(
             width=UTM_WIDTH,
             family=family,
-            scheduler=TraceScheduler(pairs),
+            scheduler=Schedule(pairs),
             source=source,
         )
         trace, report = run_utm_realization(program, dls, config, args.steps)
@@ -278,13 +278,13 @@ def build_schedule(spec: str, count: int):
             raise UsageError(f"bad period in {spec!r}") from None
         if not 1 <= period <= count:
             raise UsageError(f"period must be in 1..{count}, got {period}")
-        return periodic_schedule(period)
+        return Schedule(range(period))
     if spec.startswith("trace:"):
         program, config = read_machine(spec[len("trace:"):])
         pairs = instruction_trace(program, config, TRACE_SCHEDULE_HORIZON)
         if not pairs:
             raise UsageError("schedule machine halts before its first step")
-        return cycling_schedule([(4 * q + a) % count for q, a in pairs])
+        return Schedule((4 * q + a) % count for q, a in pairs)
     raise UsageError(
         f"unknown schedule {spec!r}; expected periodic:<p> or trace:<file>"
     )

@@ -2,10 +2,11 @@
 
 The logical object is a function f on {0,1}^w together with its level set
 f^-1{1}, and that object never changes.  What changes from step to step is
-the physical encoding: at step j a scheduler names a state, the state picks
-an invertible map from a family on {0,1}^n, and the value bit f(point) is
-embedded as coordinate n-1 of the map's input alongside n-1 fresh random
-bits.  The first n-1 coordinates of the output are the observable part.
+the physical encoding: at step j a :class:`Schedule` names a state (value j
+mod its period), the state picks an invertible map from a family on
+{0,1}^n, and the value bit f(point) is embedded as coordinate n-1 of the
+map's input alongside n-1 fresh random bits.  The first n-1 coordinates of
+the output are the observable part.
 
 Two verification routes live here.  Invariance checks that decoding each
 physical state with its step's map always lands the bit back on the correct
@@ -20,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import stats
@@ -28,43 +29,26 @@ from scipy import stats
 from .bitcore import BitVec, BoolFn, InvertibleMap, XorFamily, random_affine_invertible
 
 
-class Scheduler(Protocol):
-    horizon: int | None
+class Schedule:
+    """The state each step selects: step j takes ``values[j % len(values)]``.
 
-    def state_at(self, j: int) -> Any: ...
-
-
-class PeriodicScheduler:
-    """Cycles through a fixed state list forever."""
-
-    horizon: int | None = None
-
-    def __init__(self, states: Sequence[Any]) -> None:
-        if not states:
-            raise ValueError("scheduler needs at least one state")
-        self._states = list(states)
-
-    def state_at(self, j: int) -> Any:
-        return self._states[j % len(self._states)]
-
-
-class TraceScheduler:
-    """Follows a recorded state trace, cycling past its end.
-
-    ``horizon`` is the length of the meaningful prefix; callers that care
-    about staying inside the recorded run should bound their steps by it.
-    A trace from a machine that halted immediately is empty, leaving an
-    effective horizon of 0 and no queryable states.
+    The values are one period of the schedule, stored as a tuple; ``len``
+    is the period.  An empty schedule (from a machine that halted before
+    its first step) has length 0 and no queryable states.
     """
 
-    def __init__(self, trace: Sequence[Any]) -> None:
-        self._trace = list(trace)
-        self.horizon: int | None = len(self._trace)
+    __slots__ = ("values",)
+
+    def __init__(self, values: Iterable[Any]) -> None:
+        self.values = tuple(values)
+
+    def __len__(self) -> int:
+        return len(self.values)
 
     def state_at(self, j: int) -> Any:
-        if not self._trace:
-            raise ValueError("trace is empty; effective horizon is 0")
-        return self._trace[j % len(self._trace)]
+        if not self.values:
+            raise ValueError("schedule is empty")
+        return self.values[j % len(self.values)]
 
 
 @dataclass(frozen=True)
@@ -90,7 +74,7 @@ class DlsDecomposition:
 
     width: int
     family: Mapping[Any, InvertibleMap]
-    scheduler: Scheduler
+    scheduler: Schedule
     source: Any  # anything with next_bits(k) -> BitVec
     _inverses: dict[Any, InvertibleMap] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -144,11 +128,6 @@ def realize_step(
     state = dls.scheduler.state_at(j)
     physical = dls.map_for(state).apply(r.concat(BitVec(1, logical_bit)))
     return Realization(j, state, r, logical_bit, physical)
-
-
-def decode(dls: DlsDecomposition, state: Any, physical: BitVec) -> tuple[BitVec, int]:
-    """Module-level decode; argument order (decomposition, state, pattern)."""
-    return dls.decode(physical, state)
 
 
 # ---------------------------------------------------------------------------

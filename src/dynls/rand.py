@@ -13,10 +13,11 @@ here ever falls back to a different generator silently.
 
 from __future__ import annotations
 
+import http.client
 import os
 import random
-
-import requests
+import urllib.error
+import urllib.request
 
 from .bitcore import MAX_WIDTH, BitVec
 
@@ -97,28 +98,28 @@ class QrngSource(BitSource):
     :class:`SourceFailure` rather than substituting some other generator.
     """
 
-    def __init__(
-        self,
-        url: str,
-        timeout_ms: int = 5000,
-        max_retries: int = 3,
-        session: requests.Session | None = None,
-    ) -> None:
+    def __init__(self, url: str, timeout_ms: int = 5000, max_retries: int = 3) -> None:
         super().__init__()
         self.url = url
         self.timeout_ms = timeout_ms
         self.max_retries = max_retries
-        self._session = session or requests.Session()
 
     def _more_bytes(self) -> bytes:
         failures = 0
         while True:
             try:
-                resp = self._session.get(self.url, timeout=self.timeout_ms / 1000.0)
-                if resp.status_code == 200 and resp.content:
-                    return resp.content
-                reason = f"status {resp.status_code}" if resp.status_code != 200 else "empty body"
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(
+                    self.url, timeout=self.timeout_ms / 1000.0
+                ) as resp:
+                    status, body = resp.status, resp.read()
+                if status == 200 and body:
+                    return body
+                reason = f"status {status}" if status != 200 else "empty body"
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                reason = f"status {exc.code}"
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                # ValueError: a URL without a scheme, which fails like any other
                 reason = str(exc)
             failures += 1
             if failures >= self.max_retries:

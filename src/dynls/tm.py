@@ -105,22 +105,13 @@ def run(program: TmProgram, config: TmConfig, max_steps: int) -> RunResult:
 def instruction_trace(
     program: TmProgram, config: TmConfig, max_steps: int
 ) -> tuple[tuple[int, int], ...]:
-    """The (state, read symbol) pairs consumed over a bounded run."""
-    return run(program, config, max_steps).trace
+    """The (state, read symbol) pairs consumed over a bounded run.
 
-
-def instruction_scheduler(program: TmProgram, config: TmConfig, horizon: int):
-    """Scheduler following the run's instruction pairs.
-
-    Step j maps to the (state, scanned symbol) pair the machine consumed at
-    step j.  A machine that halts at step t < horizon yields a scheduler
-    whose effective horizon is t (0 for an empty transition table).
+    ``Schedule(instruction_trace(...))`` drives the engine by the run: step
+    j takes the pair consumed at step j, and a machine that halts before
+    its first step gives an empty schedule.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    from .dls_engine import TraceScheduler
-
-    return TraceScheduler(instruction_trace(program, config, horizon))
+    return run(program, config, max_steps).trace
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +196,7 @@ def endless_counter() -> tuple[TmProgram, TmConfig]:
     never appears inside the number and end detection is unambiguous.
     State 0 increments at the head, state 1 walks back to the low end.
     Five of the six instruction pairs occur from a blank start, which makes
-    this a convenient driver for long, varied scheduler traces.
+    this a convenient driver for long, varied schedule traces.
     """
     program = TmProgram(
         2,

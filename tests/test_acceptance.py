@@ -15,16 +15,11 @@ import numpy as np
 
 from dynls.aem import compile_step, readout_physical, run_utm_realization, Machine
 from dynls.bitcore import BitVec, XorFamily, random_affine_invertible, swap_coordinates
-from dynls.blockstream import (
-    BitStream,
-    StreamTransform,
-    cycling_schedule,
-    periodic_schedule,
-)
+from dynls.blockstream import BitStream, StreamTransform
 from dynls.cli import main
 from dynls.dls_engine import (
     DlsDecomposition,
-    PeriodicScheduler,
+    Schedule,
     derived_xor_family,
     realize_step,
     sampled_secrecy_report,
@@ -35,7 +30,6 @@ from dynls.rand import SeededSource
 from dynls.tm import (
     binary_incrementer,
     endless_counter,
-    instruction_scheduler,
     instruction_trace,
     reference_write_high_indicator,
     reference_write_high_set,
@@ -78,8 +72,8 @@ def test_criterion_2_stream_round_trip():
     program, config = endless_counter()
     pairs = instruction_trace(program, config, 512)
     schedules = {
-        "periodic": periodic_schedule(m),
-        "trace": cycling_schedule([(4 * q + a) % m for q, a in pairs]),
+        "periodic": Schedule(range(m)),
+        "trace": Schedule((4 * q + a) % m for q, a in pairs),
     }
 
     rng = np.random.default_rng(21)
@@ -103,7 +97,7 @@ def test_criterion_3_level_set_invariance():
     dls = DlsDecomposition(
         width=15,
         family=derived_xor_family(15, states, seed=22),
-        scheduler=PeriodicScheduler(states),
+        scheduler=Schedule(states),
         source=SeededSource(22),
     )
     report = verify_invariance(dls, indicator, points, steps=10**4)
@@ -157,7 +151,7 @@ def test_criterion_6_aem_dls_equivalence():
         dls = DlsDecomposition(
             width=width,
             family={"s": fam},
-            scheduler=PeriodicScheduler(("s",)),
+            scheduler=Schedule(("s",)),
             source=SeededSource(0),
         )
         machine = Machine()
@@ -177,7 +171,7 @@ def test_criterion_6_aem_dls_equivalence():
     dls = DlsDecomposition(
         width=width,
         family={"s": fam},
-        scheduler=PeriodicScheduler(("s",)),
+        scheduler=Schedule(("s",)),
         source=SeededSource(0),
     )
     rng = random.Random(25)
@@ -204,8 +198,8 @@ def test_criterion_7_self_modification_regression():
     """
     t0 = time.monotonic()
     program, config = endless_counter()
-    sched = instruction_scheduler(program, config, horizon=1000)
-    states = sorted({sched.state_at(j) for j in range(sched.horizon)})
+    sched = Schedule(instruction_trace(program, config, 1000))
+    states = sorted({sched.state_at(j) for j in range(len(sched))})
     dls = DlsDecomposition(
         width=15,
         family=derived_xor_family(15, states, seed=2026),
@@ -264,6 +258,6 @@ def test_criterion_9_incrementer_hand_oracle():
     assert result.final.head == 0
     assert result.final.state == 1
 
-    sched = instruction_scheduler(program, config, horizon=100)
-    assert sched.horizon == 3
+    sched = Schedule(instruction_trace(program, config, 100))
+    assert len(sched) == 3
     assert [sched.state_at(j) for j in range(3)] == [(0, 1), (0, 1), (0, 0)]

@@ -34,12 +34,12 @@ from dynls.aem import (
 from dynls.bitcore import BitVec, XorFamily, identity_map, random_affine_invertible
 from dynls.dls_engine import (
     DlsDecomposition,
-    PeriodicScheduler,
+    Schedule,
     derived_xor_family,
     realize_step,
 )
 from dynls.rand import SeededSource
-from dynls.tm import binary_incrementer, endless_counter, instruction_scheduler
+from dynls.tm import binary_incrementer, endless_counter, instruction_trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -425,7 +425,7 @@ def test_xor_family_step_matches_engine_width15():
     dls = DlsDecomposition(
         width=15,
         family={"s": fam},
-        scheduler=PeriodicScheduler(("s",)),
+        scheduler=Schedule(("s",)),
         source=SeededSource(0),
     )
     rng = random.Random(414)
@@ -470,7 +470,7 @@ def test_compiled_program_survives_text_round_trip():
 
 
 def dls_for_run(sched, width, seed):
-    states = sorted({sched.state_at(j) for j in range(sched.horizon)})
+    states = sorted({sched.state_at(j) for j in range(len(sched))})
     return DlsDecomposition(
         width=width,
         family=derived_xor_family(width, states, seed),
@@ -481,21 +481,21 @@ def dls_for_run(sched, width, seed):
 
 def test_run_utm_incrementer_no_violations():
     program, config = binary_incrementer([1, 0, 1, 1, 1, 1])
-    sched = instruction_scheduler(program, config, horizon=64)
+    sched = Schedule(instruction_trace(program, config, 64))
     dls = dls_for_run(sched, 15, seed=7)
     trace, report = run_utm_realization(program, dls, config, steps=64)
     assert report.violations == ()
-    assert report.effective_steps == sched.horizon
+    assert report.effective_steps == len(sched)
     assert len(report.observables) == report.effective_steps
 
 
 def test_run_utm_stops_at_halt():
     program, config = binary_incrementer([1, 1, 1])
-    sched = instruction_scheduler(program, config, horizon=500)
+    sched = Schedule(instruction_trace(program, config, 500))
     dls = dls_for_run(sched, 15, seed=3)
     trace, report = run_utm_realization(program, dls, config, steps=500)
     assert report.requested_steps == 500
-    assert report.effective_steps == sched.horizon < 500
+    assert report.effective_steps == len(sched) < 500
     assert report.violations == ()
 
 
@@ -503,7 +503,7 @@ def test_run_utm_seeded_runs_are_identical():
     program, config = endless_counter()
     results = []
     for _ in range(2):
-        sched = instruction_scheduler(program, config, horizon=60)
+        sched = Schedule(instruction_trace(program, config, 60))
         dls = dls_for_run(sched, 15, seed=11)
         trace, report = run_utm_realization(program, dls, config, steps=60)
         results.append((trace_to_jsonl(trace), report.observables))
@@ -512,7 +512,7 @@ def test_run_utm_seeded_runs_are_identical():
 
 def test_run_utm_observables_fill_the_range():
     program, config = endless_counter()
-    sched = instruction_scheduler(program, config, horizon=300)
+    sched = Schedule(instruction_trace(program, config, 300))
     dls = dls_for_run(sched, 15, seed=5)
     trace, report = run_utm_realization(program, dls, config, steps=300)
     distinct = len(set(report.observables))
@@ -526,7 +526,7 @@ def test_run_utm_pattern_variety_regression():
     single step, and the distinct count sits where 1000 uniform 14-bit
     draws put it (mean near 970, never credibly below 930)."""
     program, config = endless_counter()
-    sched = instruction_scheduler(program, config, horizon=1000)
+    sched = Schedule(instruction_trace(program, config, 1000))
     dls = dls_for_run(sched, 15, seed=2026)
     trace, report = run_utm_realization(program, dls, config, steps=1000)
     assert report.violations == ()

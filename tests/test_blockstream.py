@@ -11,14 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynls.bitcore import XorFamily, permute_coordinates
-from dynls.blockstream import (
-    BitStream,
-    StreamTransform,
-    cycling_schedule,
-    periodic_schedule,
-)
-from dynls.dls_engine import derived_xor_family
+from dynls.bitcore import XorFamily, identity_map, permute_coordinates
+from dynls.blockstream import BitStream, StreamTransform
+from dynls.dls_engine import Schedule, derived_xor_family
 
 
 def _reversal(width):
@@ -26,43 +21,38 @@ def _reversal(width):
 
 
 def test_reversal_hand_example():
-    xf = StreamTransform([_reversal(3)], periodic_schedule(1))
+    xf = StreamTransform([_reversal(3)], Schedule(range(1)))
     out = xf.transform(BitStream.from_bits([1, 1, 0, 0, 0, 1]))
     assert out.tolist() == [0, 1, 1, 1, 0, 0]
 
 
 def test_blocks_are_zero_indexed():
-    calls = []
-
-    def recording(j):
-        calls.append(j)
-        return 0
-
-    xf = StreamTransform([_reversal(2)], recording)
-    xf.transform(BitStream.from_bits([1, 0, 0, 1, 1, 1]))
-    assert calls == [0, 1, 2]
+    # only block 0 takes the reversal, so schedule step j is block j
+    xf = StreamTransform([identity_map(2), _reversal(2)], Schedule([1, 0, 0]))
+    out = xf.transform(BitStream.from_bits([1, 0, 0, 1, 1, 1]))
+    assert out.tolist() == [0, 1, 0, 1, 1, 1]
 
 
 def test_length_must_divide_into_blocks():
-    xf = StreamTransform([_reversal(3)], periodic_schedule(1))
+    xf = StreamTransform([_reversal(3)], Schedule(range(1)))
     with pytest.raises(ValueError):
         xf.transform(BitStream.from_bits([1, 0]))
 
 
 def test_empty_stream_passes_through():
-    xf = StreamTransform([_reversal(3)], periodic_schedule(1))
+    xf = StreamTransform([_reversal(3)], Schedule(range(1)))
     assert len(xf.transform(BitStream.from_bits([]))) == 0
 
 
 def test_schedule_value_out_of_range():
-    xf = StreamTransform([_reversal(2)], periodic_schedule(3))
-    with pytest.raises(ValueError):
-        xf.transform(BitStream.from_bits([1, 0, 1, 0, 1, 0]))
+    for values in (range(3), [0, -1], []):
+        with pytest.raises(ValueError):
+            StreamTransform([_reversal(2)], Schedule(values))
 
 
 def test_map_widths_must_agree():
     with pytest.raises(ValueError):
-        StreamTransform([_reversal(2), _reversal(3)], periodic_schedule(2))
+        StreamTransform([_reversal(2), _reversal(3)], Schedule(range(2)))
 
 
 @given(st.data())
@@ -80,15 +70,13 @@ def test_transform_recover_roundtrip(data):
     sched_vals = data.draw(
         st.lists(st.integers(0, nmaps - 1), min_size=1, max_size=10)
     )
-    xf = StreamTransform(maps, cycling_schedule(sched_vals))
+    xf = StreamTransform(maps, Schedule(sched_vals))
     stream = BitStream.from_bits(bits)
     assert xf.recover(xf.transform(stream)) == stream
 
 
 def test_identity_maps_pass_through():
-    from dynls.bitcore import identity_map
-
-    xf = StreamTransform([identity_map(4)], periodic_schedule(1))
+    xf = StreamTransform([identity_map(4)], Schedule(range(1)))
     stream = BitStream.from_bits([1, 0, 1, 1, 0, 0, 1, 0])
     assert xf.transform(stream) == stream
     assert xf.recover(stream) == stream
@@ -97,8 +85,8 @@ def test_identity_maps_pass_through():
 def test_double_transform_recovers_in_reverse_order():
     fam_a = derived_xor_family(5, list(range(3)), seed=21)
     fam_b = derived_xor_family(5, list(range(4)), seed=22)
-    outer = StreamTransform([fam_a[i] for i in range(3)], periodic_schedule(3))
-    inner = StreamTransform([fam_b[i] for i in range(4)], periodic_schedule(4))
+    outer = StreamTransform([fam_a[i] for i in range(3)], Schedule(range(3)))
+    inner = StreamTransform([fam_b[i] for i in range(4)], Schedule(range(4)))
     stream = BitStream.from_bits([1, 0, 0, 1, 1] * 8)
     doubled = outer.transform(inner.transform(stream))
     assert inner.recover(outer.recover(doubled)) == stream
@@ -106,7 +94,7 @@ def test_double_transform_recovers_in_reverse_order():
 
 def test_transform_is_block_local():
     fam = derived_xor_family(4, list(range(3)), seed=8)
-    xf = StreamTransform([fam[i] for i in range(3)], periodic_schedule(3))
+    xf = StreamTransform([fam[i] for i in range(3)], Schedule(range(3)))
     base = [0, 1, 1, 0] * 6
     tweaked = list(base)
     tweaked[9] ^= 1  # inside block 2
@@ -123,7 +111,7 @@ def test_blocks_match_direct_map_application():
 
     fam = derived_xor_family(6, list(range(2)), seed=17)
     maps = [fam[0], fam[1]]
-    xf = StreamTransform(maps, periodic_schedule(2))
+    xf = StreamTransform(maps, Schedule(range(2)))
     bits = [1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 0]
     out = xf.transform(BitStream.from_bits(bits)).tolist()
     for j in range(3):
@@ -135,9 +123,9 @@ def test_blocks_match_direct_map_application():
 def test_recovery_with_wrong_schedule_differs():
     maps = [XorFamily(4, 0, 0, 0), XorFamily(4, 5, 5, 0)]
     stream = BitStream.from_bits([0] * 16)
-    enc = StreamTransform(maps, periodic_schedule(2)).transform(stream)
-    bad = StreamTransform(maps, cycling_schedule([0])).recover(enc)
-    good = StreamTransform(maps, periodic_schedule(2)).recover(enc)
+    enc = StreamTransform(maps, Schedule(range(2))).transform(stream)
+    bad = StreamTransform(maps, Schedule([0])).recover(enc)
+    good = StreamTransform(maps, Schedule(range(2))).recover(enc)
     assert good == stream
     assert bad != stream
 
@@ -145,7 +133,7 @@ def test_recovery_with_wrong_schedule_differs():
 def test_large_stream_roundtrip_exact():
     fam = derived_xor_family(15, list(range(6)), seed=3)
     maps = [fam[i] for i in range(6)]
-    xf = StreamTransform(maps, periodic_schedule(6))
+    xf = StreamTransform(maps, Schedule(range(6)))
     rng = np.random.default_rng(9)
     stream = BitStream(rng.integers(0, 2, size=15 * 7000, dtype=np.uint8))
     assert xf.recover(xf.transform(stream)) == stream
@@ -153,7 +141,7 @@ def test_large_stream_roundtrip_exact():
 
 def test_width_cap_for_table_expansion():
     with pytest.raises(ValueError):
-        StreamTransform([XorFamily(17, 0, 0, 0)], periodic_schedule(1))
+        StreamTransform([XorFamily(17, 0, 0, 0)], Schedule(range(1)))
 
 
 # ---------------------------------------------------------------------------

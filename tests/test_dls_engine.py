@@ -24,10 +24,8 @@ from hypothesis import strategies as st
 from dynls.bitcore import BitVec, BoolFn, XorFamily, identity_map, swap_coordinates
 from dynls.dls_engine import (
     DlsDecomposition,
-    PeriodicScheduler,
     Realization,
-    TraceScheduler,
-    decode,
+    Schedule,
     derived_affine_family,
     derived_xor_family,
     realize_step,
@@ -47,7 +45,7 @@ from dynls.tm import reference_write_high_indicator
 
 def _tiny_dls(source):
     fam = {("s", 0): XorFamily(3, mask0=1, mask1=2, flip=1)}
-    return DlsDecomposition(3, fam, PeriodicScheduler([("s", 0)]), source)
+    return DlsDecomposition(3, fam, Schedule([("s", 0)]), source)
 
 
 def test_realize_hand_example():
@@ -74,7 +72,7 @@ def test_decode_unknown_state():
 def test_family_width_mismatch_rejected():
     with pytest.raises(ValueError):
         DlsDecomposition(
-            4, {0: XorFamily(3, 0, 0, 0)}, PeriodicScheduler([0]), ByteSource(b"")
+            4, {0: XorFamily(3, 0, 0, 0)}, Schedule([0]), ByteSource(b"")
         )
 
 
@@ -83,7 +81,7 @@ def test_family_width_mismatch_rejected():
 def test_realize_decode_roundtrip(seed, width):
     states = list(range(5))
     fam = derived_xor_family(width, states, seed)
-    dls = DlsDecomposition(width, fam, PeriodicScheduler(states), SeededSource(seed))
+    dls = DlsDecomposition(width, fam, Schedule(states), SeededSource(seed))
     for j in range(20):
         bit = (seed >> (j % 31)) & 1
         real = dls.realize(j, bit)
@@ -92,17 +90,18 @@ def test_realize_decode_roundtrip(seed, width):
 
 
 def test_schedulers_cycle():
-    assert PeriodicScheduler(["a", "b", "c"]).state_at(5) == "c"
-    assert TraceScheduler([(0, 1), (1, 0)]).state_at(4) == (0, 1)
-    assert TraceScheduler([(0, 1), (1, 0)]).horizon == 2
-    assert PeriodicScheduler(["a"]).horizon is None
+    assert Schedule(["a", "b", "c"]).state_at(5) == "c"
+    assert Schedule([(0, 1), (1, 0)]).state_at(4) == (0, 1)
+    assert len(Schedule([(0, 1), (1, 0)])) == 2
+    empty = Schedule([])
+    assert len(empty) == 0
     with pytest.raises(ValueError):
-        PeriodicScheduler([])
+        empty.state_at(0)
 
 
 def test_realize_step_identity_family_sets_top_coordinate():
     dls = DlsDecomposition(
-        5, {0: identity_map(5)}, PeriodicScheduler([0]), ByteSource(b"")
+        5, {0: identity_map(5)}, Schedule([0]), ByteSource(b"")
     )
     real = realize_step(dls, 0, BitVec(4, 0), 1)
     assert real.physical == BitVec(5, 0b10000)
@@ -112,7 +111,7 @@ def test_realize_step_identity_family_sets_top_coordinate():
 def test_realize_step_xorfam_width4_oracle():
     # masks 101/011 with flip 1, r=101, b=0: low bits cancel, top bit flips
     dls = DlsDecomposition(
-        4, {0: XorFamily(4, 0b101, 0b011, 1)}, PeriodicScheduler([0]), ByteSource(b"")
+        4, {0: XorFamily(4, 0b101, 0b011, 1)}, Schedule([0]), ByteSource(b"")
     )
     real = realize_step(dls, 0, BitVec(3, 0b101), 0)
     assert real.physical == BitVec(4, 0b1000)
@@ -120,24 +119,24 @@ def test_realize_step_xorfam_width4_oracle():
 
 def test_identity_decode_is_split():
     dls = DlsDecomposition(
-        6, {0: identity_map(6)}, PeriodicScheduler([0]), ByteSource(b"")
+        6, {0: identity_map(6)}, Schedule([0]), ByteSource(b"")
     )
     for y in range(64):
         vec = BitVec(6, y)
         low, top = vec.split(5)
-        assert decode(dls, 0, vec) == (low, top.value)
+        assert dls.decode(vec, 0) == (low, top.value)
 
 
 def test_affine_decode_roundtrip_exhaustive_n6():
     fam = derived_affine_family(6, list(range(3)), seed=12)
     dls = DlsDecomposition(
-        6, fam, PeriodicScheduler(list(range(3))), SeededSource(0)
+        6, fam, Schedule(list(range(3))), SeededSource(0)
     )
     for s in range(3):
         for r in range(32):
             for b in (0, 1):
                 real = realize_step(
-                    DlsDecomposition(6, fam, PeriodicScheduler([s]), SeededSource(0)),
+                    DlsDecomposition(6, fam, Schedule([s]), SeededSource(0)),
                     0, BitVec(5, r), b,
                 )
                 assert dls.decode(real.physical, s) == (BitVec(5, r), b)
@@ -148,7 +147,7 @@ def test_wrong_state_decode_flips_bit_when_flips_differ():
         "a": XorFamily(4, 0b001, 0b110, 0),
         "b": XorFamily(4, 0b011, 0b100, 1),
     }
-    dls = DlsDecomposition(4, fam, PeriodicScheduler(["a"]), ByteSource(b""))
+    dls = DlsDecomposition(4, fam, Schedule(["a"]), ByteSource(b""))
     for r in range(8):
         for b in (0, 1):
             real = realize_step(dls, 0, BitVec(3, r), b)
@@ -172,7 +171,7 @@ def test_realize_step_width_checked():
 def _fixture_dls(width, seed, source):
     points = [BitVec(5, x) for x in range(32)]
     fam = derived_xor_family(width, [p.value for p in points], seed)
-    sched = PeriodicScheduler([p.value for p in points])
+    sched = Schedule([p.value for p in points])
     return DlsDecomposition(width, fam, sched, source), points
 
 

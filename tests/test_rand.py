@@ -1,10 +1,15 @@
 """Bit-source behavior, including the buffered bit order and the HTTP path."""
 
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import dynls
 from dynls.rand import (
     ByteSource,
     OsEntropySource,
@@ -150,3 +155,18 @@ def test_qrng_treats_empty_body_as_failure(http_source):
     with pytest.raises(SourceFailure):
         src.next_bits(4)
     assert script.hits == 3
+
+
+def test_cli_import_leaves_out_requests():
+    """The HTTP source runs on the standard library alone."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dynls.__file__).resolve().parents[1])}
+    code = "import sys, dynls.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_qrng_url_without_scheme_is_source_failure():
+    with pytest.raises(SourceFailure, match="failed 3 times"):
+        QrngSource("no-scheme").next_bits(4)

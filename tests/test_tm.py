@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynls.bitcore import level_set
+from dynls.dls_engine import Schedule
 from dynls.tm import (
     MachineFormatError,
     TmConfig,
@@ -24,7 +25,6 @@ from dynls.tm import (
     binary_incrementer,
     endless_counter,
     instruction_index,
-    instruction_scheduler,
     instruction_trace,
     machine_from_text,
     machine_to_text,
@@ -275,7 +275,7 @@ def test_malformed_machine_text_rejected(text):
 
 
 # ---------------------------------------------------------------------------
-# schedulers and long-running drivers
+# schedules and long-running drivers
 # ---------------------------------------------------------------------------
 
 
@@ -285,25 +285,28 @@ def test_right_mover_walks_the_tape():
     assert not result.halted
     assert result.final.head == 25
     assert result.final.tape == {}
-    sched = instruction_scheduler(program, TmConfig({}, 0, 0), 25)
-    assert sched.horizon == 25
+    sched = Schedule(instruction_trace(program, TmConfig({}, 0, 0), 25))
+    assert len(sched) == 25
     assert all(sched.state_at(j) == (0, 0) for j in range(25))
 
 
 def test_incrementer_scheduler_matches_trace():
     program, config = binary_incrementer([1, 1])
-    sched = instruction_scheduler(program, config, 100)
-    assert sched.horizon == 3
+    sched = Schedule(instruction_trace(program, config, 100))
+    assert len(sched) == 3
     assert [sched.state_at(j) for j in range(3)] == [(0, 1), (0, 1), (0, 0)]
 
 
 def test_empty_table_scheduler_horizon_zero():
-    sched = instruction_scheduler(TmProgram(1, 1, {}), TmConfig({}, 0, 0), 10)
-    assert sched.horizon == 0
+    sched = Schedule(instruction_trace(TmProgram(1, 1, {}), TmConfig({}, 0, 0), 10))
+    assert len(sched) == 0
     with pytest.raises(ValueError):
         sched.state_at(0)
+    # a zero-step run consumes nothing either
+    program = TmProgram(1, 1, {(0, 0): (0, 0, "R")})
+    sched = Schedule(instruction_trace(program, TmConfig({}, 0, 0), 0))
     with pytest.raises(ValueError):
-        instruction_scheduler(TmProgram(1, 1, {}), TmConfig({}, 0, 0), 0)
+        sched.state_at(0)
 
 
 def test_component_level_sets_partition():
