@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .bitcore import BitVec, InvertibleMap, XorFamily
@@ -288,6 +289,13 @@ class Machine:
     whose triggers just fired queue their payloads for the next tick.
     Pulses are integrated against the connection set current at their
     arrival tick, not the one in place when they were emitted.
+
+    Pulses are found event by event: for each delay d some connection
+    uses, the elements that fired at t-d (read from `trace`) send pulses
+    along their out-edges of delay d.  A tick's cost therefore follows the
+    number of delays in use and the fan-out of the firings, not the number
+    of connections or the size of the largest delay.  `trace` is the only
+    firing history the machine keeps.
     """
 
     def __init__(self):
@@ -297,16 +305,19 @@ class Machine:
         self.metas: dict[tuple, MetaCmd] = {}
         self.trace: FiringTrace = {}
         self._forced: dict[int, set] = {}
-        self._fired_at: dict[str, set] = {}
         self._last_fire: dict[str, int] = {}
         self._pending: dict[int, list] = {}
+        # (source, delay) -> {target: amplitude}, mirroring `connections`
+        self._out: dict[tuple, dict[str, int]] = {}
+        # delay -> number of connections using it
+        self._delays: dict[int, int] = {}
 
     def apply(self, commands: Union[AemProgram, Iterable[Command]]) -> None:
         if isinstance(commands, AemProgram):
             commands = commands.commands
         for cmd in commands:
             if isinstance(cmd, ElementCmd):
-                self._install_element(cmd)
+                self.elements[cmd.element.name] = cmd.element
             elif isinstance(cmd, ConnectionCmd):
                 self._install_connection(cmd)
             elif isinstance(cmd, FireCmd):
@@ -327,34 +338,46 @@ class Machine:
         if name not in self.elements:
             raise AemLinkError(f"{role} {name!r} is not an element of this machine")
 
-    def _install_element(self, cmd: ElementCmd) -> None:
-        self.elements[cmd.element.name] = cmd.element
-
     def _install_connection(self, cmd: ConnectionCmd) -> None:
         c = cmd.connection
+        key = (c.source, c.target)
+        old = self.connections.get(key)
+        if old is c:
+            # compiled steps share their commands, so re-installs are
+            # common; elements are never removed, so both ends still exist
+            return
         self._require(c.source, "connection source")
         self._require(c.target, "connection target")
-        key = (c.source, c.target)
+        if old is not None:
+            edges = self._out[(old.source, old.delay)]
+            del edges[old.target]
+            if not edges:
+                del self._out[(old.source, old.delay)]
+            self._delays[old.delay] -= 1
+            if not self._delays[old.delay]:
+                del self._delays[old.delay]
         if c.amplitude == 0:
             self.connections.pop(key, None)
         else:
             self.connections[key] = c
+            self._out.setdefault((c.source, c.delay), {})[c.target] = c.amplitude
+            self._delays[c.delay] = self._delays.get(c.delay, 0) + 1
 
     def step(self) -> frozenset:
         """Advance one tick; returns the set of names that fired."""
         t = self.clock
         for cmd in self._pending.pop(t, ()):
             if isinstance(cmd, ElementCmd):
-                self._install_element(cmd)
+                self.elements[cmd.element.name] = cmd.element
             else:
                 self._install_connection(cmd)
 
         fired = set(self._forced.pop(t, ()))
         sums: dict[str, int] = {}
-        for (source, target), conn in self.connections.items():
-            history = self._fired_at.get(source)
-            if history and (t - conn.delay) in history:
-                sums[target] = sums.get(target, 0) + conn.amplitude
+        for delay in self._delays:
+            for source in self.trace.get(t - delay, ()):
+                for target, amplitude in self._out.get((source, delay), {}).items():
+                    sums[target] = sums.get(target, 0) + amplitude
         for name, total in sums.items():
             if name in fired:
                 continue
@@ -367,7 +390,6 @@ class Machine:
                     fired.add(name)
 
         for name in fired:
-            self._fired_at.setdefault(name, set()).add(t)
             self._last_fire[name] = t
         result = frozenset(fired)
         self.trace[t] = result
@@ -420,45 +442,84 @@ def element_names(width: int) -> StepElements:
     )
 
 
-def _mask_wiring(names: StepElements, mask: int, flip: int) -> tuple:
-    """Connection templates computing x XOR mask onto the output bank.
+class _Wires(NamedTuple):
+    """The connection commands into one output element: from the strobe
+    (off/on) and from its input element (cut/copy/veto).  Coordinate
+    width-1 pairs the bit-input element with the bit-output element."""
 
-    Where the mask bit is set, the strobe excites the output and the input
-    element vetoes it (NOT); where clear, the input alone drives it (copy).
-    The logical-bit path gets the same treatment from `flip`.
+    off: ConnectionCmd
+    on: ConnectionCmd
+    cut: ConnectionCmd
+    copy: ConnectionCmd
+    veto: ConnectionCmd
+
+
+class _StepParts(NamedTuple):
+    names: StepElements
+    elements: tuple[ElementCmd, ...]
+    rearm: MetaCmd
+    wires: tuple[_Wires, ...]
+
+
+@lru_cache(maxsize=None)
+def _step_parts(width: int) -> _StepParts:
+    """The commands every step of this width shares, built once.
+
+    They are frozen dataclasses in tuples, so every program may hold the
+    same objects.
     """
-    wires = []
-    for i, (rn, dn) in enumerate(zip(names.randoms, names.outputs)):
-        if (mask >> i) & 1:
-            wires.append(ConnectionCmd(Connection(GO, dn, 1, 2)))
-            wires.append(ConnectionCmd(Connection(rn, dn, -1, 2)))
-        else:
-            wires.append(ConnectionCmd(Connection(GO, dn, 0, 2)))
-            wires.append(ConnectionCmd(Connection(rn, dn, 1, 2)))
-    if flip:
-        wires.append(ConnectionCmd(Connection(GO, BIT_OUT, 1, 2)))
-        wires.append(ConnectionCmd(Connection(BIT_IN, BIT_OUT, -1, 2)))
-    else:
-        wires.append(ConnectionCmd(Connection(GO, BIT_OUT, 0, 2)))
-        wires.append(ConnectionCmd(Connection(BIT_IN, BIT_OUT, 1, 2)))
-    return tuple(wires)
+
+    def element(name: str, kind: ElementKind) -> ElementCmd:
+        return ElementCmd(Element(name, 1, 0, kind))
+
+    def wire(source: str, target: str, amplitude: int) -> ConnectionCmd:
+        return ConnectionCmd(Connection(source, target, amplitude, 2))
+
+    names = element_names(width)
+    outputs = tuple(element(n, ElementKind.COMPUTING) for n in (*names.outputs, BIT_OUT))
+    elements = (
+        element(GO, ElementKind.RANDOM),
+        element(BIT_IN, ElementKind.RANDOM),
+        outputs[-1],
+        *(element(n, ElementKind.RANDOM) for n in names.randoms),
+        *outputs[:-1],
+    )
+    wires = tuple(
+        _Wires(
+            wire(GO, dn, 0), wire(GO, dn, 1), wire(rn, dn, 0), wire(rn, dn, 1), wire(rn, dn, -1)
+        )
+        for rn, dn in zip((*names.randoms, BIT_IN), (*names.outputs, BIT_OUT))
+    )
+    return _StepParts(names, elements, MetaCmd(MetaKind.ELEMENTS, GO, outputs), wires)
 
 
-def _value_wiring(names: StepElements, value: BitVec) -> tuple:
-    """Connection templates firing exactly the set bits of `value`.
+# bounded, since a caller may compile steps for any number of mask pairs
+@lru_cache(maxsize=256)
+def _mask_metas(width: int, mask0: int, mask1: int, flip: int) -> tuple[MetaCmd, MetaCmd]:
+    """The strobe's and the bit input's payloads computing x XOR mask_b.
 
-    Used for maps with no special structure: the output is known once the
-    inputs are, so the strobe drives each set coordinate directly and any
-    input-to-output edges left by earlier epochs are deleted.
+    Where a bit of mask_b (or of `flip`, for the logical-bit path) is set,
+    the strobe excites the output and the input element vetoes it (NOT);
+    where clear, the input alone drives it (copy).
     """
-    wires = []
-    for i, (rn, dn) in enumerate(zip(names.randoms, names.outputs)):
-        wires.append(ConnectionCmd(Connection(GO, dn, 1 if value.bit(i) else 0, 2)))
-        wires.append(ConnectionCmd(Connection(rn, dn, 0, 2)))
-    top = value.width - 1
-    wires.append(ConnectionCmd(Connection(GO, BIT_OUT, 1 if value.bit(top) else 0, 2)))
-    wires.append(ConnectionCmd(Connection(BIT_IN, BIT_OUT, 0, 2)))
-    return tuple(wires)
+    wires = _step_parts(width).wires
+    top = flip << (width - 1)
+
+    def wiring(mask: int) -> tuple:
+        return tuple(
+            cmd
+            for i, w in enumerate(wires)
+            for cmd in ((w.on, w.veto) if (mask >> i) & 1 else (w.off, w.copy))
+        )
+
+    return (
+        MetaCmd(MetaKind.CONNECTIONS, GO, wiring(mask0 | top)),
+        MetaCmd(MetaKind.CONNECTIONS, BIT_IN, wiring(mask1 | top)),
+    )
+
+
+# clears any bit-1 override a previous epoch may have installed
+_NO_OVERRIDE = MetaCmd(MetaKind.CONNECTIONS, BIT_IN, ())
 
 
 def compile_step(
@@ -477,6 +538,11 @@ def compile_step(
     and triggers the base wiring for logical bit 0; the bit-input element
     fires only when the logical bit is 1, and its payload, applied after
     the strobe's, overrides the wiring with the bit-1 variant.
+
+    Maps with no special structure are wired from their output: the strobe
+    drives each set coordinate directly and every input-to-output edge is
+    deleted.  Only the fires and that output-driven payload are built per
+    call; the rest is shared by every step of the same width and map.
     """
     width = family_map.width
     k = width - 1
@@ -484,65 +550,36 @@ def compile_step(
         raise ValueError(f"random part must have width {k}, got {r.width}")
     if logical_bit not in (0, 1):
         raise ValueError(f"logical bit must be 0 or 1, got {logical_bit!r}")
-    names = element_names(width)
+    parts = _step_parts(width)
 
-    cmds: list = [
-        ElementCmd(Element(GO, 1, 0, ElementKind.RANDOM)),
-        ElementCmd(Element(BIT_IN, 1, 0, ElementKind.RANDOM)),
-        ElementCmd(Element(BIT_OUT, 1, 0, ElementKind.COMPUTING)),
-    ]
-    cmds.extend(
-        ElementCmd(Element(n, 1, 0, ElementKind.RANDOM)) for n in names.randoms
-    )
-    cmds.extend(
-        ElementCmd(Element(n, 1, 0, ElementKind.COMPUTING)) for n in names.outputs
-    )
-
-    cmds.append(FireCmd(GO, base_tick))
-    for i in range(k):
-        if r.bit(i):
-            cmds.append(FireCmd(names.randoms[i], base_tick))
+    cmds: list = [*parts.elements, FireCmd(GO, base_tick)]
+    for i, name in enumerate(parts.names.randoms):
+        if (r.value >> i) & 1:
+            cmds.append(FireCmd(name, base_tick))
     if logical_bit:
         cmds.append(FireCmd(BIT_IN, base_tick))
 
     if isinstance(family_map, XorFamily):
-        cmds.append(
-            MetaCmd(
-                MetaKind.CONNECTIONS,
-                GO,
-                _mask_wiring(names, family_map.mask0, family_map.flip),
-            )
-        )
-        cmds.append(
-            MetaCmd(
-                MetaKind.CONNECTIONS,
-                BIT_IN,
-                _mask_wiring(names, family_map.mask1, family_map.flip),
-            )
+        cmds.extend(
+            _mask_metas(width, family_map.mask0, family_map.mask1, family_map.flip)
         )
     else:
-        value = family_map.apply(r.concat(BitVec(1, logical_bit)))
-        cmds.append(MetaCmd(MetaKind.CONNECTIONS, GO, _value_wiring(names, value)))
-        # clear any bit-1 override a previous epoch may have installed
-        cmds.append(MetaCmd(MetaKind.CONNECTIONS, BIT_IN, ()))
-
-    cmds.append(
-        MetaCmd(
-            MetaKind.ELEMENTS,
-            GO,
-            tuple(
-                ElementCmd(Element(n, 1, 0, ElementKind.COMPUTING))
-                for n in (*names.outputs, BIT_OUT)
-            ),
+        value = family_map.apply_int(r.value | logical_bit << k)
+        payload = tuple(
+            cmd
+            for i, w in enumerate(parts.wires)
+            for cmd in (w.on if (value >> i) & 1 else w.off, w.cut)
         )
-    )
+        cmds.append(MetaCmd(MetaKind.CONNECTIONS, GO, payload))
+        cmds.append(_NO_OVERRIDE)
+    cmds.append(parts.rearm)
     return AemProgram(tuple(cmds))
 
 
 def readout_physical(trace: FiringTrace, base_tick: int, width: int) -> BitVec:
     """Reassemble the physical word from the epoch's readout tick."""
     fired = trace[base_tick + EPOCH_TICKS - 1]
-    names = element_names(width)
+    names = _step_parts(width).names
     value = 0
     for i, dn in enumerate(names.outputs):
         if dn in fired:

@@ -24,9 +24,19 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .bitcore import BitVec, BoolFn, InvertibleMap, XorFamily, random_affine_invertible
+
+
+def __getattr__(name: str):
+    # `dls_engine.stats` stays a module attribute for code that wraps
+    # `stats.chisquare` from outside (the benchmark's tracer), while
+    # importing the package leaves scipy out until it is used
+    if name == "stats":
+        from scipy import stats
+
+        return stats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Schedule:
@@ -339,6 +349,8 @@ def sampled_secrecy_report(
     bit value, so every cell expects samples / 2^(n-1) hits; a p-value at
     or below ``alpha`` for any pair fails the whole family.
     """
+    from scipy import stats  # most of the package's import time; load on use
+
     if not family:
         raise ValueError("map family is empty")
     children = iter(np.random.SeedSequence(seed).spawn(2 * len(family)))

@@ -276,6 +276,146 @@ def test_dangling_endpoints_rejected():
         m.apply([MetaCmd(MetaKind.CONNECTIONS, "ghost", ())])
 
 
+def test_long_delay_pulse_lands_exactly_once():
+    m = machine_of("E a 1 0 random\nE b 1 0 computing\nC a b 1 5000\nF a 0\n")
+    m.run_until(5001)
+    assert [t for t in range(5002) if "b" in m.trace[t]] == [5000]
+
+
+def test_long_delay_edge_deleted_in_flight_delivers_nothing():
+    m = machine_of("E a 1 0 random\nE b 1 0 computing\nC a b 1 5000\nF a 0\n")
+    m.run_until(2500)
+    m.apply([ConnectionCmd(Connection("a", "b", 0, 5000))])
+    m.run_until(5001)
+    assert all("b" not in m.trace[t] for t in range(5002))
+
+
+class FullScanMachine:
+    """Reference integrator: every tick scans every connection and checks
+    its source's firing history, as `Machine` did before it found pulses
+    through per-source out-edges.  It takes valid commands only.
+
+    `in_flight_rewires` counts landed meta connection commands whose source
+    fired within the last four ticks, i.e. rewired an edge that may carry a
+    pulse in flight.
+    """
+
+    def __init__(self):
+        self.clock = 0
+        self.elements = {}
+        self.connections = {}
+        self.metas = {}
+        self.trace = {}
+        self.forced = {}
+        self.fired_at = {}
+        self.last_fire = {}
+        self.pending = {}
+        self.in_flight_rewires = 0
+
+    def apply(self, commands):
+        for cmd in commands:
+            if isinstance(cmd, ElementCmd):
+                self.elements[cmd.element.name] = cmd.element
+            elif isinstance(cmd, ConnectionCmd):
+                self.connect(cmd.connection)
+            elif isinstance(cmd, FireCmd):
+                self.forced.setdefault(cmd.tick, set()).add(cmd.name)
+            else:
+                self.metas[(cmd.kind, cmd.trigger)] = cmd
+
+    def connect(self, c):
+        key = (c.source, c.target)
+        if c.amplitude == 0:
+            self.connections.pop(key, None)
+        else:
+            self.connections[key] = c
+
+    def step(self):
+        t = self.clock
+        for cmd in self.pending.pop(t, ()):
+            if isinstance(cmd, ElementCmd):
+                self.elements[cmd.element.name] = cmd.element
+            else:
+                history = self.fired_at.get(cmd.connection.source, ())
+                if any(t - d in history for d in range(1, 5)):
+                    self.in_flight_rewires += 1
+                self.connect(cmd.connection)
+
+        fired = set(self.forced.pop(t, ()))
+        sums = {}
+        for (source, target), conn in self.connections.items():
+            if t - conn.delay in self.fired_at.get(source, ()):
+                sums[target] = sums.get(target, 0) + conn.amplitude
+        for name, total in sums.items():
+            elem = self.elements[name]
+            if name in fired or elem.kind is ElementKind.RANDOM:
+                continue
+            last = self.last_fire.get(name)
+            if total >= elem.threshold and (last is None or t > last + elem.refractory):
+                fired.add(name)
+
+        for name in fired:
+            self.fired_at.setdefault(name, set()).add(t)
+            self.last_fire[name] = t
+        self.trace[t] = frozenset(fired)
+        for (_, trigger), meta in self.metas.items():
+            if trigger in fired:
+                self.pending.setdefault(t + 1, []).extend(meta.payload)
+        self.clock = t + 1
+
+
+def random_batch(rng, names, clock, first):
+    """Seeded commands over `names`: elements of every kind with refractory
+    windows, connections of delay 1-4 with negative and zero (deleting)
+    amplitudes, MC/ME metas, and forced fires from `clock` on."""
+
+    def element(name):
+        kind = rng.choice(list(ElementKind))
+        return Element(name, rng.randint(-1, 3), rng.randint(0, 3), kind)
+
+    def connection():
+        amplitude = rng.choice((-2, -1, 0, 0, 1, 1, 2))
+        return Connection(rng.choice(names), rng.choice(names), amplitude, rng.randint(1, 4))
+
+    cmds = [ElementCmd(element(n)) for n in names] if first else []
+    cmds += [ConnectionCmd(connection()) for _ in range(rng.randint(2, 10))]
+    for _ in range(rng.randint(0, 3)):
+        payload = tuple(ConnectionCmd(connection()) for _ in range(rng.randint(0, 4)))
+        cmds.append(MetaCmd(MetaKind.CONNECTIONS, rng.choice(names), payload))
+    for _ in range(rng.randint(0, 2)):
+        payload = tuple(ElementCmd(element(rng.choice(names))) for _ in range(rng.randint(1, 2)))
+        cmds.append(MetaCmd(MetaKind.ELEMENTS, rng.choice(names), payload))
+    for _ in range(rng.randint(1, 8)):
+        cmds.append(FireCmd(rng.choice(names), clock + rng.randrange(12)))
+    return cmds
+
+
+def test_machine_matches_full_scan_oracle():
+    import random
+
+    in_flight_rewires = fires = 0
+    for seed in range(150):
+        rng = random.Random(f"aem-diff:{seed}")
+        names = [f"e{i}" for i in range(rng.randint(2, 6))]
+        machine, oracle = Machine(), FullScanMachine()
+        for batch in range(4):
+            cmds = random_batch(rng, names, machine.clock, batch == 0)
+            machine.apply(cmds)
+            oracle.apply(cmds)
+            for _ in range(rng.randint(5, 15)):
+                t = machine.clock
+                fired = machine.step()
+                oracle.step()
+                assert fired == oracle.trace[t], (seed, t)
+        assert machine.trace == oracle.trace
+        assert machine.connections == oracle.connections
+        assert machine.elements == oracle.elements
+        in_flight_rewires += oracle.in_flight_rewires
+        fires += sum(len(f) for f in oracle.trace.values())
+    # the programs exercise what the comparison is for
+    assert in_flight_rewires > 1000 and fires > 2000
+
+
 # ---------------------------------------------------------------------------
 # text format
 

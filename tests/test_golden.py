@@ -1,10 +1,12 @@
 """Golden digests of seeded CLI artifacts.
 
-Each case runs ``dynls.cli.main`` at a small size and pins the SHA-256 of
-the artifacts a seeded run must reproduce byte for byte: the run-utm trace
-and report, the transformed stream, and the secrecy reports.  A refactor
-that keeps these digests keeps the observable behaviour.  ``manifest.json``
-is left out because it records the temporary paths of the run.
+Each case runs ``dynls.cli.main`` and pins the SHA-256 of the artifacts a
+seeded run must reproduce byte for byte: the run-utm trace and report, the
+transformed stream, and the secrecy reports.  The printed programs
+``compile_step`` emits for one mask-pair step and one affine step are
+pinned the same way.  A refactor that keeps these digests keeps the
+observable behaviour.  ``manifest.json`` is left out because it records the
+temporary paths of the run.
 """
 
 import hashlib
@@ -12,6 +14,8 @@ import random
 
 import pytest
 
+from dynls.aem import compile_step, print_program
+from dynls.bitcore import BitVec, XorFamily, random_affine_invertible
 from dynls.cli import main
 from dynls.tm import endless_counter, write_machine
 
@@ -98,3 +102,45 @@ def test_verify_secrecy_digests(case, tmp_path):
     out = tmp_path / "secrecy"
     assert main(["verify-secrecy", *flags, "--out", str(out)]) == code
     assert _sha256(out / "report.txt") == digest
+
+
+# run-utm at the benchmark's size, 3000 steps of the counter machine
+RUN_UTM_LONG = {
+    "xorfam": (
+        "fd6436576d43b36f28f49b26c76174e159f7f436c6a0e5f455bfe65ec6afa9c3",
+        "e16a38845591e7a7dd9fd74da9ffaa91ebdcdfdfb02a7bb09968002dd3bae88f",
+    ),
+    "affine:7": (
+        "a87d02a87d300061dda057c5d839fca449d6b4ec2dded309ab3d7528f46285b6",
+        "c05bb7233995ae283df3a8a4b97d1fa23349e47e414d120a00c677f25742feee",
+    ),
+}
+
+
+@pytest.mark.parametrize("dls", sorted(RUN_UTM_LONG))
+def test_run_utm_digests_3000_steps(dls, counter_tm, tmp_path):
+    out = tmp_path / "run"
+    argv = [
+        "run-utm", "--tm", counter_tm, "--dls", dls,
+        "--steps", "3000", "--rng", "seeded:7", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    trace, report = RUN_UTM_LONG[dls]
+    assert _sha256(out / "trace.jsonl") == trace
+    assert _sha256(out / "report.txt") == report
+
+
+# (map, random part, logical bit, base tick) -> digest of the printed program
+COMPILE_STEP = {
+    "xorfam": (lambda: XorFamily(15, 0x2A53, 0x1C07, 1), 0x1234, 1, 9,
+               "452affa04a23ab729fb0df6132db8f547f122e3b2ca872871d2dc2d1d991bf63"),
+    "affine": (lambda: random_affine_invertible(15, seed=99), 0x0F0F, 0, 6,
+               "57b7add6855c9ee5b5ca6a690340204d8aa512e4b9e72b6b9dc485c7e75c24ea"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPILE_STEP))
+def test_compile_step_program_digests(case):
+    make_map, r, bit, base, digest = COMPILE_STEP[case]
+    program = compile_step("s", make_map(), BitVec(14, r), bit, base)
+    assert hashlib.sha256(print_program(program).encode()).hexdigest() == digest

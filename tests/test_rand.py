@@ -170,3 +170,17 @@ def test_cli_import_leaves_out_requests():
 def test_qrng_url_without_scheme_is_source_failure():
     with pytest.raises(SourceFailure, match="failed 3 times"):
         QrngSource("no-scheme").next_bits(4)
+
+
+def test_cli_import_leaves_out_scipy():
+    """scipy.stats loads only when a sampled secrecy report needs it, and
+    stays reachable as `dls_engine.stats` for code that wraps its calls."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dynls.__file__).resolve().parents[1])}
+    code = (
+        "import sys, dynls.cli; print('scipy' in sys.modules); "
+        "print(dynls.dls_engine.stats is sys.modules['scipy.stats'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]
