@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .bitcore import BitVec, InvertibleMap, XorFamily
-from .tm import TmConfig, TmProgram, instruction_index, instruction_trace, transition_components
+from .tm import TmProgram, instruction_index, transition_components
 
 
 class AemSyntaxError(ValueError):
@@ -630,32 +630,23 @@ class UtmRunReport:
         return "".join(line + "\n" for line in lines)
 
 
-def run_utm_realization(
-    program: TmProgram,
-    dls,
-    initial: TmConfig,
-    steps: int,
-    source=None,
-    bit_fn=None,
-):
-    """Run a tape machine and realize every step on one firing machine.
+def run_utm_realization(program: TmProgram, dls, steps: int):
+    """Realize a tape machine's run on one firing machine.
 
-    Step j occupies the epoch at base tick 3j.  For each step the logical
-    bit comes from `bit_fn` on the packed (state, symbol) instruction
-    (default: the high write-symbol transition component), the engine
-    draws the random part, and the machine's readout is checked against
-    the engine's physical word.  A machine that halts early simply yields
-    a shorter run; the report records both step counts.
+    The schedule is the run: ``dls.scheduler.values`` holds the (state,
+    symbol) pairs from ``tm.instruction_trace``, and step j realizes pair
+    j, up to ``steps`` of them, in the epoch at base tick 3j.  Its logical
+    bit is the pair's high write-symbol component, the engine draws the
+    random part, and the readout is checked against the engine's physical
+    word.  A machine that halted early gives a shorter run; the report
+    records both step counts.
 
     Returns (trace, report).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if source is not None:
-        dls = replace(dls, source=source)
-    if bit_fn is None:
-        bit_fn = transition_components(program)[3]
-    pairs = instruction_trace(program, initial, steps)
+    bit_fn = transition_components(program)[3]
+    pairs = dls.scheduler.values[:steps]
 
     machine = Machine()
     mask = (1 << (dls.width - 1)) - 1
@@ -664,11 +655,6 @@ def run_utm_realization(
     for j, pair in enumerate(pairs):
         bit = bit_fn(BitVec(5, instruction_index(*pair)))
         real = dls.realize(j, bit)
-        if real.state != pair:
-            raise ValueError(
-                f"schedule produced {real.state!r} at step {j} but the "
-                f"machine trace has {pair!r}; drive both from the same run"
-            )
         base = EPOCH_TICKS * j
         machine.apply(compile_step(pair, dls.map_for(pair), real.random_part, bit, base))
         machine.run_until(base + EPOCH_TICKS - 1)

@@ -335,13 +335,7 @@ class Affine(InvertibleMap):
         return super().compose(other)
 
     def to_table_array(self) -> np.ndarray:
-        w = self.width
-        x = np.arange(1 << w, dtype=np.int64)
-        bits = (x[:, None] >> np.arange(w, dtype=np.int64)) & 1
-        mat = (np.array(self.rows, dtype=np.int64)[:, None] >> np.arange(w, dtype=np.int64)) & 1
-        ybits = (bits @ mat.T) & 1
-        ybits ^= (self.offset >> np.arange(w, dtype=np.int64)) & 1
-        return ybits @ (np.int64(1) << np.arange(w, dtype=np.int64))
+        return _affine_table(self)
 
 
 @dataclass(frozen=True)
@@ -389,13 +383,20 @@ class XorFamily(InvertibleMap):
         return super().compose(other)
 
     def to_table_array(self) -> np.ndarray:
-        w = self.width
-        half = 1 << (w - 1)
-        x = np.arange(1 << w, dtype=np.int64)
-        b = x >> (w - 1)
-        low = x & (half - 1)
-        mask = np.where(b == 1, self.mask1, self.mask0)
-        return (low ^ mask) | ((b ^ self.flip) << (w - 1))
+        # (x, b) -> (x ^ mask0 ^ b.(mask0 ^ mask1), b ^ flip) is affine
+        return _affine_table(self)
+
+
+def _affine_table(m: InvertibleMap) -> np.ndarray:
+    """Full table of a map affine over GF(2), doubled in place with no
+    temporaries: m(x | 2^i) = m(x) ^ m(2^i) ^ m(0) for every x < 2^i."""
+    base = m.apply_int(0)
+    table = np.empty(1 << m.width, dtype=np.int64)
+    table[0] = base
+    for i in range(m.width):
+        low = 1 << i
+        np.bitwise_xor(table[:low], m.apply_int(low) ^ base, out=table[low : 2 * low])
+    return table
 
 
 def identity_map(width: int) -> Affine:

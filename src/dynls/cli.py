@@ -182,7 +182,7 @@ def cmd_run_utm(args) -> int:
             scheduler=Schedule(pairs),
             source=source,
         )
-        trace, report = run_utm_realization(program, dls, config, args.steps)
+        trace, report = run_utm_realization(program, dls, args.steps)
     else:
         # the machine halts before consuming a single instruction
         trace = {}

@@ -206,7 +206,7 @@ def test_criterion_7_self_modification_regression():
         scheduler=sched,
         source=SeededSource(2026),
     )
-    trace, report = run_utm_realization(program, dls, config, steps=1000)
+    trace, report = run_utm_realization(program, dls, steps=1000)
     assert report.effective_steps == 1000
     assert report.violations == ()
     distinct = report.distinct_observables

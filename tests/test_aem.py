@@ -623,7 +623,7 @@ def test_run_utm_incrementer_no_violations():
     program, config = binary_incrementer([1, 0, 1, 1, 1, 1])
     sched = Schedule(instruction_trace(program, config, 64))
     dls = dls_for_run(sched, 15, seed=7)
-    trace, report = run_utm_realization(program, dls, config, steps=64)
+    trace, report = run_utm_realization(program, dls, steps=64)
     assert report.violations == ()
     assert report.effective_steps == len(sched)
     assert len(report.observables) == report.effective_steps
@@ -633,7 +633,7 @@ def test_run_utm_stops_at_halt():
     program, config = binary_incrementer([1, 1, 1])
     sched = Schedule(instruction_trace(program, config, 500))
     dls = dls_for_run(sched, 15, seed=3)
-    trace, report = run_utm_realization(program, dls, config, steps=500)
+    trace, report = run_utm_realization(program, dls, steps=500)
     assert report.requested_steps == 500
     assert report.effective_steps == len(sched) < 500
     assert report.violations == ()
@@ -645,7 +645,7 @@ def test_run_utm_seeded_runs_are_identical():
     for _ in range(2):
         sched = Schedule(instruction_trace(program, config, 60))
         dls = dls_for_run(sched, 15, seed=11)
-        trace, report = run_utm_realization(program, dls, config, steps=60)
+        trace, report = run_utm_realization(program, dls, steps=60)
         results.append((trace_to_jsonl(trace), report.observables))
     assert results[0] == results[1]
 
@@ -654,7 +654,7 @@ def test_run_utm_observables_fill_the_range():
     program, config = endless_counter()
     sched = Schedule(instruction_trace(program, config, 300))
     dls = dls_for_run(sched, 15, seed=5)
-    trace, report = run_utm_realization(program, dls, config, steps=300)
+    trace, report = run_utm_realization(program, dls, steps=300)
     distinct = len(set(report.observables))
     # 300 uniform draws from 2^14 values collide rarely
     assert distinct >= 280
@@ -668,7 +668,7 @@ def test_run_utm_pattern_variety_regression():
     program, config = endless_counter()
     sched = Schedule(instruction_trace(program, config, 1000))
     dls = dls_for_run(sched, 15, seed=2026)
-    trace, report = run_utm_realization(program, dls, config, steps=1000)
+    trace, report = run_utm_realization(program, dls, steps=1000)
     assert report.violations == ()
     obs = report.observables
     assert all(a != b for a, b in zip(obs, obs[1:]))

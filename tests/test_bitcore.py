@@ -1,5 +1,7 @@
 """Core bit-vector and invertible-map behavior, checked against hand oracles."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,7 +84,7 @@ def test_str_is_most_significant_first():
 # ---------------------------------------------------------------------------
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_affine_matches_its_table(seed, width):
     aff = random_affine_invertible(width, seed)
@@ -92,7 +94,7 @@ def test_affine_matches_its_table(seed, width):
     assert is_bijection(table.tolist())
 
 
-@given(st.data(), st.integers(2, 8))
+@given(st.data(), st.integers(2, 12))
 @settings(max_examples=60, deadline=None)
 def test_xorfam_matches_its_table(data, width):
     half = 1 << (width - 1)
@@ -106,6 +108,23 @@ def test_xorfam_matches_its_table(data, width):
     for x in range(1 << width):
         assert fam.apply_int(x) == int(table[x])
 
+
+
+@pytest.mark.parametrize(
+    "m",
+    [random_affine_invertible(20, 5), XorFamily(20, 0x5A5A5, 0x3C3C3, 1)],
+    ids=["affine", "xorfam"],
+)
+def test_table_expansion_allocates_only_the_table(m):
+    table_bytes = 8 << 20  # 2^20 int64 entries
+    tracemalloc.start()
+    try:
+        table = m.to_table_array()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == table_bytes
+    assert peak < 2 * table_bytes
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 @settings(max_examples=60, deadline=None)

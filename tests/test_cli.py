@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from dynls import tm
 from dynls.bitcore import identity_map, swap_coordinates, write_map
 from dynls.cli import main
 from dynls.tm import binary_incrementer, endless_counter, write_machine
@@ -107,6 +108,49 @@ def test_run_utm_halting_machine_reports_effective_steps(incrementer_tm, tmp_pat
     assert "steps=5/500" in report
     assert "violations=0" in report
 
+
+
+def test_run_utm_runs_the_tape_machine_once(counter_tm, tmp_path, monkeypatch):
+    calls = []
+    real_run = tm.run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(tm, "run", counted)
+    code = main(
+        [
+            "run-utm",
+            "--tm", counter_tm,
+            "--steps", "30",
+            "--rng", "seeded:1",
+            "--out", str(tmp_path / "once"),
+        ]
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_run_utm_machine_without_a_start_rule(tmp_path):
+    # the blank tape starts the machine on (0, 0), which has no rule
+    tm_path = tmp_path / "stuck.tm"
+    tm_path.write_text("states=2\nalphabet=2\n1 0 -> 0 0 R\n")
+    out = tmp_path / "stuck"
+    code = main(
+        [
+            "run-utm",
+            "--tm", str(tm_path),
+            "--steps", "10",
+            "--rng", "seeded:1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    report = (out / "report.txt").read_text()
+    assert "steps=0/10" in report
+    assert "violations=0" in report
+    assert (out / "trace.jsonl").read_bytes() == b""
 
 def test_run_utm_missing_tm_file(tmp_path, capsys):
     code = main(

@@ -265,8 +265,9 @@ def test_xor_family_passes_exact_secrecy():
     report = verify_perfect_secrecy(fam)
     assert report.passed
     assert report.max_tv == 0
-    for hist in report.histograms.values():
-        assert hist == (1,) * 8
+    for m in fam.values():
+        for b in (0, 1):
+            assert secrecy_distribution(m, b).tolist() == [1] * 8
 
 
 def test_secrecy_report_text_format():
