@@ -6,15 +6,15 @@ step j.  Recovery runs the same schedule against the inverse maps, so a
 receiver that knows the family and the schedule gets the original stream
 back bit for bit.
 
-Work happens on numpy arrays: blocks pack into integers with a power-of-two
-matmul, go through precomputed lookup tables (one per family member, which
-caps the block width at 16), and unpack with shifts.  The schedule's period
-becomes an index array once, and each call tiles it across its blocks.
+One kernel serves every width, on packed bytes: eight n-bit blocks fill n
+bytes, block i of each n is read from the window at byte (i*n)//8, looked
+up in a uint16 table (one per family member, which caps the width at 16)
+and ORed back in.  Files go through in chunks, so memory stays bounded.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .bitcore import InvertibleMap
 from .dls_engine import Schedule
 
 MAX_STREAM_WIDTH = 16
+
+# 16 KiB at n=2 to 128 KiB at n=16: a chunk's temporaries stay in cache
+CHUNK_GROUPS = 1 << 13
 
 
 class BitStream:
@@ -84,7 +87,8 @@ class StreamTransform:
     """Applies a scheduled family of invertible maps block by block.
 
     Block j goes through ``maps[schedule.state_at(j)]``, so every schedule
-    value must index ``maps``.
+    value must index ``maps``.  The ``*_chunks`` methods take a packed
+    stream as byte chunks, each of whole blocks, and yield uint8 arrays.
     """
 
     def __init__(self, maps: Sequence[InvertibleMap], schedule: Schedule) -> None:
@@ -102,29 +106,54 @@ class StreamTransform:
             raise ValueError("schedule is empty")
         if any(not 0 <= v < len(maps) for v in schedule.values):
             raise ValueError("schedule names an index outside the family")
-        self._period = np.array(schedule.values, dtype=np.int64)
-        self._fwd = np.stack([m.to_table_array() for m in maps])
-        self._inv = np.stack([m.invert().to_table_array() for m in maps])
-        self._powers = np.int64(1) << np.arange(self.width, dtype=np.int64)
+        self._fwd = np.concatenate([m.to_table_array().astype(np.uint16) for m in maps])
+        self._inv = np.concatenate([m.invert().to_table_array().astype(np.uint16) for m in maps])
+        # where each scheduled map's table starts; the kernel tiles these
+        self._starts = np.array(schedule.values, dtype=np.intp) << self.width
+        self._period = self._starts.size
+        self._byte, self._shift = np.divmod(np.arange(8, dtype=np.uint32) * self.width, 8)
+
+    def _kernel(self, data: np.ndarray, first: int, tables: np.ndarray) -> np.ndarray:
+        """Map the packed blocks in ``data``, the first being block ``first``."""
+        n, groups = self.width, -(-data.size // self.width)
+        at = first % self._period
+        if at + 8 * groups > self._starts.size:  # tile the period over the blocks
+            self._starts = np.tile(self._starts[: self._period], 8 * groups // self._period + 2)
+        # windows are 4-byte words: the input gets 3 spare bytes, each output group 3
+        buf = np.zeros(groups * n + 3, np.uint8)
+        buf[: data.size] = data
+        windows = np.ndarray((groups, n), "<u4", buf, strides=(n, 1))[:, self._byte] >> self._shift
+        index = self._starts[at : at + 8 * groups].reshape(groups, 8) + (windows & (1 << n) - 1)
+        words = tables[index].astype(np.uint32) << self._shift
+        out = np.zeros((groups, n + 3), np.uint8)
+        view = np.ndarray((groups, n), "<u4", out, strides=(n + 3, 1))
+        for i, byte in enumerate(self._byte.tolist()):
+            view[:, byte] |= words[:, i]
+        return out[:, :n].reshape(-1)[: data.size]
 
     def _apply(self, stream: BitStream, tables: np.ndarray) -> BitStream:
-        n = self.width
-        if len(stream) % n:
-            raise ValueError(f"stream length {len(stream)} not a multiple of {n}")
-        nblocks = len(stream) // n
-        if nblocks == 0:
-            return stream
-        values = stream.bits.reshape(nblocks, n).astype(np.int64) @ self._powers
-        # np.tile, not np.resize: resize concatenates one copy per repeat
-        reps = -(-nblocks // self._period.size)
-        out_vals = tables[np.tile(self._period, reps)[:nblocks], values]
-        out_bits = ((out_vals[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(
-            np.uint8
-        )
-        return BitStream(out_bits.reshape(-1))
+        if len(stream) % self.width:
+            raise ValueError(f"stream length {len(stream)} not a multiple of {self.width}")
+        out = self._kernel(np.packbits(stream.bits, bitorder="little"), 0, tables)
+        return BitStream(np.unpackbits(out, count=len(stream), bitorder="little"))
+
+    def _apply_chunks(self, chunks: Iterable[bytes], tables: np.ndarray) -> Iterator[np.ndarray]:
+        nbits = 0
+        for chunk in chunks:
+            data = np.frombuffer(chunk, np.uint8)
+            yield self._kernel(data, nbits // self.width, tables)
+            nbits += 8 * data.size
+            if nbits % self.width:  # so the next chunk, or the end, comes mid-block
+                raise ValueError(f"stream of {nbits} bits is not divisible by width {self.width}")
 
     def transform(self, stream: BitStream) -> BitStream:
         return self._apply(stream, self._fwd)
 
     def recover(self, stream: BitStream) -> BitStream:
         return self._apply(stream, self._inv)
+
+    def transform_chunks(self, chunks: Iterable[bytes]) -> Iterator[np.ndarray]:
+        return self._apply_chunks(chunks, self._fwd)
+
+    def recover_chunks(self, chunks: Iterable[bytes]) -> Iterator[np.ndarray]:
+        return self._apply_chunks(chunks, self._inv)

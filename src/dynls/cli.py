@@ -8,6 +8,7 @@ source failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .aem import UtmRunReport, run_utm_realization, trace_to_jsonl
 from .bitcore import read_map
-from .blockstream import BitStream, StreamTransform
+from .blockstream import CHUNK_GROUPS, StreamTransform
 from .dls_engine import (
     MAX_EXACT_WIDTH,
     DlsDecomposition,
@@ -52,13 +53,15 @@ def _terminated(text: str) -> str:
 
 
 def _write_atomic(path: Path, data) -> None:
-    """Write through a temp file and rename, so failed runs never leave a
-    partial artifact behind."""
-    mode = "wb" if isinstance(data, (bytes, bytearray)) else "w"
+    """Write text, bytes, or an iterable of byte chunks through a temp file
+    and rename, so failed runs never leave a partial artifact behind."""
+    mode = "w" if isinstance(data, str) else "wb"
+    chunks = (data,) if isinstance(data, (str, bytes, bytearray)) else data
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
         with os.fdopen(fd, mode) as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -310,7 +313,6 @@ def _read_stream_meta(path: Path):
 def cmd_stream(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = Path(args.input).read_bytes()
 
     if args.mode == "transform":
         if args.width is None or args.count is None or args.sched is None:
@@ -328,21 +330,13 @@ def cmd_stream(args) -> int:
     maps = [family[i] for i in range(count)]
     schedule = build_schedule(sched_spec, count)
 
-    stream = BitStream.from_packed_bytes(data)
-    if len(stream) % width:
-        raise UsageError(
-            f"stream length {len(stream)} bits is not divisible by "
-            f"block width {width}"
-        )
-    transform = StreamTransform(maps, schedule)
-    if args.mode == "transform":
-        result = transform.transform(stream)
-        name = "stream.bits"
-    else:
-        result = transform.recover(stream)
-        name = "recovered.bits"
+    apply = getattr(StreamTransform(maps, schedule), f"{args.mode}_chunks")
+    name = "stream.bits" if args.mode == "transform" else "recovered.bits"
+    with open(args.input, "rb") as infile:
+        chunks = iter(functools.partial(infile.read, CHUNK_GROUPS * width), b"")
+        _write_atomic(out / name, apply(chunks))
+        nbits = 8 * infile.tell()
 
-    _write_atomic(out / name, result.to_packed_bytes())
     _write_atomic(out / (name + ".meta"), f"n={width} m={count} sched={sched_spec}\n")
     _write_manifest(
         out,
@@ -358,7 +352,7 @@ def cmd_stream(args) -> int:
         None,
         {"stream": name, "meta": name + ".meta"},
     )
-    print(f"wrote {out / name} ({len(stream)} bits)")
+    print(f"wrote {out / name} ({nbits} bits)")
     return EXIT_PASS
 
 
@@ -441,8 +435,8 @@ def main(argv=None) -> int:
     except SourceFailure as exc:
         print(f"dynls: source failure: {exc}", file=sys.stderr)
         return EXIT_SOURCE
-    except (OSError, ValueError) as exc:
-        print(f"dynls: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"dynls: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

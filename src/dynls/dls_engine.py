@@ -227,6 +227,7 @@ def verify_invariance(
 
 
 MAX_EXACT_WIDTH = 20
+SAMPLE_CHUNK = 1 << 20  # random parts a sampled histogram draws at a time
 
 
 def secrecy_distribution(m: InvertibleMap, b: int) -> np.ndarray:
@@ -309,10 +310,12 @@ def sampled_observable_histogram(
         raise ValueError(f"bit must be 0 or 1, got {b}")
     half = 1 << (m.width - 1)
     rng = np.random.default_rng(seed)
-    r = rng.integers(0, half, size=samples, dtype=np.int64)
     table = m.to_table_array()
-    obs = table[r | (b << (m.width - 1))] & (half - 1)
-    return np.bincount(obs, minlength=half).astype(np.int64)
+    hist = np.zeros(half, dtype=np.int64)
+    for done in range(0, samples, SAMPLE_CHUNK):  # one stream: a one-shot draw's samples
+        r = rng.integers(0, half, size=min(SAMPLE_CHUNK, samples - done), dtype=np.int64)
+        hist += np.bincount(table[r | (b << (m.width - 1))] & (half - 1), minlength=half)
+    return hist
 
 
 @dataclass(frozen=True)

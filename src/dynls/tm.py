@@ -59,9 +59,6 @@ class TmConfig:
     def __post_init__(self) -> None:
         self.tape = {cell: sym for cell, sym in self.tape.items() if sym != 0}
 
-    def read(self) -> int:
-        return self.tape.get(self.head, 0)
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -72,17 +69,8 @@ class RunResult:
 
 def step(program: TmProgram, config: TmConfig) -> TmConfig | None:
     """One step, or None if no rule applies.  The input config is untouched."""
-    key = (config.state, config.read())
-    rule = program.transitions.get(key)
-    if rule is None:
-        return None
-    q2, a2, mv = rule
-    tape = dict(config.tape)
-    if a2 == 0:
-        tape.pop(config.head, None)
-    else:
-        tape[config.head] = a2
-    return TmConfig(tape, config.head + (1 if mv == "R" else -1), q2)
+    result = run(program, config, 1)
+    return None if result.halted else result.final
 
 
 def run(program: TmProgram, config: TmConfig, max_steps: int) -> RunResult:
@@ -90,16 +78,20 @@ def run(program: TmProgram, config: TmConfig, max_steps: int) -> RunResult:
         raise ValueError(f"start state {config.state} out of range")
     if any(not 0 < sym < program.num_symbols for sym in config.tape.values()):
         raise ValueError("tape holds a symbol outside the alphabet")
+    tape, head, state = dict(config.tape), config.head, config.state  # updated in place
     trace: list[tuple[int, int]] = []
-    current = config
     for _ in range(max_steps):
-        key = (current.state, current.read())
-        nxt = step(program, current)
-        if nxt is None:
-            return RunResult(current, tuple(trace), True)
+        key = (state, tape.get(head, 0))
+        if key not in program.transitions:
+            return RunResult(TmConfig(tape, head, state), tuple(trace), True)
         trace.append(key)
-        current = nxt
-    return RunResult(current, tuple(trace), False)
+        state, symbol, move = program.transitions[key]
+        if symbol:
+            tape[head] = symbol
+        else:
+            tape.pop(head, None)
+        head += 1 if move == "R" else -1
+    return RunResult(TmConfig(tape, head, state), tuple(trace), False)
 
 
 def instruction_trace(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dynls.bitcore import XorFamily, identity_map, permute_coordinates
 from dynls.blockstream import BitStream, StreamTransform
-from dynls.dls_engine import Schedule, derived_xor_family
+from dynls.dls_engine import Schedule, derived_affine_family, derived_xor_family
 
 
 def _reversal(width):
@@ -137,6 +137,68 @@ def test_large_stream_roundtrip_exact():
     rng = np.random.default_rng(9)
     stream = BitStream(rng.integers(0, 2, size=15 * 7000, dtype=np.uint8))
     assert xf.recover(xf.transform(stream)) == stream
+
+
+def _block_oracle(maps, values, bits, width, first=0, inverse=False):
+    """Block by block through ``apply_int``: block j of the bits is block
+    ``first + j`` of the stream."""
+    out = []
+    for j in range(len(bits) // width):
+        m = maps[values[(first + j) % len(values)]]
+        if inverse:
+            m = m.invert()
+        x = sum(bit << i for i, bit in enumerate(bits[j * width : (j + 1) * width]))
+        y = m.apply_int(x)
+        out += [(y >> i) & 1 for i in range(width)]
+    return out
+
+
+def _family_and_schedule(data):
+    width = data.draw(st.integers(2, 16), label="width")
+    nmaps = data.draw(st.integers(1, 5), label="nmaps")
+    fam = derived_affine_family(width, list(range(nmaps)), data.draw(st.integers(0, 999)))
+    values = data.draw(st.lists(st.integers(0, nmaps - 1), min_size=1, max_size=9))
+    return width, [fam[i] for i in range(nmaps)], values
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_kernel_matches_block_oracle(data):
+    # stream lengths that end inside a byte, unless the width forbids it
+    width, maps, values = _family_and_schedule(data)
+    nblocks = data.draw(st.integers(0, 40).filter(lambda k: width % 8 == 0 or k * width % 8))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=nblocks * width, max_size=nblocks * width))
+    xf = StreamTransform(maps, Schedule(values))
+    out = xf.transform(BitStream.from_bits(bits)).tolist()
+    assert out == _block_oracle(maps, values, bits, width)
+    assert xf.recover(BitStream.from_bits(bits)).tolist() == _block_oracle(
+        maps, values, bits, width, inverse=True
+    )
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_chunks_carry_the_block_offset(data):
+    # the second chunk starts at a nonzero block, mid-group when it can
+    width, maps, values = _family_and_schedule(data)
+    nbytes = data.draw(st.integers(1, 12)) * width
+    raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
+    cuts = [c for c in range(1, nbytes) if 8 * c % width == 0]
+    cut = data.draw(st.sampled_from(cuts)) if cuts else nbytes
+    xf = StreamTransform(maps, Schedule(values))
+    bits = BitStream.from_packed_bytes(raw).tolist()
+    for apply, inverse in ((xf.transform_chunks, False), (xf.recover_chunks, True)):
+        out = b"".join(c.tobytes() for c in apply([raw[:cut], raw[cut:]]))
+        expect = _block_oracle(maps, values, bits, width, inverse=inverse)
+        assert BitStream.from_packed_bytes(out).tolist() == expect
+
+
+def test_chunks_must_end_on_a_block():
+    xf = StreamTransform([_reversal(3)], Schedule(range(1)))
+    with pytest.raises(ValueError, match="not divisible"):
+        list(xf.transform_chunks([bytes(3), bytes(1)]))  # 32 bits
+    with pytest.raises(ValueError, match="not divisible"):
+        list(xf.transform_chunks([bytes(1), bytes(2)]))  # a chunk starts mid-block
 
 
 def test_width_cap_for_table_expansion():

@@ -2,10 +2,12 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from dynls import tm
+from dynls import cli, tm
+from dynls.blockstream import CHUNK_GROUPS
 from dynls.bitcore import identity_map, swap_coordinates, write_map
 from dynls.cli import main
 from dynls.tm import binary_incrementer, endless_counter, write_machine
@@ -271,6 +273,25 @@ def test_verify_secrecy_sampled_mode(capsys):
     assert "pass=true" in out
 
 
+def test_out_of_memory_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # an allocation failure is not a verdict: exit 2, one line, no traceback
+    def allocate(*args, **kwargs):
+        raise MemoryError(
+            "Unable to allocate 7.45 GiB for an array with shape (1000000000,) "
+            "and data type int64"
+        )
+
+    monkeypatch.setattr(cli, "sampled_secrecy_report", allocate)
+    out = tmp_path / "sec"
+    argv = ["verify-secrecy", "--dls", "xorfam", "--width", "10", "--states", "1",
+            "--sample", "1000000000", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dynls: Unable to allocate 7.45 GiB")
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_verify_secrecy_artifacts(tmp_path):
     out = tmp_path / "sec"
     code = main(
@@ -374,6 +395,41 @@ def test_stream_length_not_divisible(tmp_path, capsys):
     )
     assert code == 2
     assert "not divisible" in capsys.readouterr().err
+
+
+def test_stream_failure_leaves_no_artifact(tmp_path):
+    # the length check fails only after every chunk has been written
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(CHUNK_GROUPS * 15 * 3 + 1))
+    out = tmp_path / "out"
+    code = main(
+        stream_args(
+            "transform", src, out, maps="xorfam:1", width=15, count=2, sched="periodic:2",
+        )
+    )
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+def test_stream_memory_follows_chunks_not_file(tmp_path):
+    chunk = CHUNK_GROUPS * 16
+    peaks = {}
+    for nchunks in (8, 32):
+        src = tmp_path / f"in{nchunks}.bits"
+        src.write_bytes(os.urandom(nchunks * chunk + 6 * 16))
+        argv = stream_args(
+            "transform", src, tmp_path / f"out{nchunks}",
+            maps="xorfam:2", width=16, count=6, sched="periodic:6",
+        )
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[nchunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the peak holds one chunk's buffers and the tables, whatever the length
+    assert peaks[32] < peaks[8] + chunk
+    assert peaks[32] < 32 * chunk
 
 
 def test_stream_recover_needs_sidecar(tmp_path, capsys):

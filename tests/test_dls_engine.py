@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from dynls.bitcore import BitVec, BoolFn, XorFamily, identity_map, swap_coordinates
 from dynls.dls_engine import (
+    SAMPLE_CHUNK,
     DlsDecomposition,
     Realization,
     Schedule,
@@ -317,6 +318,15 @@ def test_sampled_histogram_deterministic():
     assert np.array_equal(h1, h2)
     assert h1.sum() == 5000
     assert len(h1) == 32
+
+
+def test_sampled_histogram_chunks_match_one_draw():
+    # more than two chunks: the chunked draw sees the one-shot draw's samples
+    m = derived_affine_family(10, [0], seed=4)[0]
+    samples = 2 * SAMPLE_CHUNK + 12345
+    r = np.random.default_rng(8).integers(0, 512, size=samples, dtype=np.int64)
+    once = np.bincount(m.to_table_array()[r | 512] & 511, minlength=512)
+    assert np.array_equal(sampled_observable_histogram(m, 1, samples, seed=8), once)
 
 
 def test_sampled_report_passes_for_uniform_maps():

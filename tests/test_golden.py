@@ -16,6 +16,7 @@ import pytest
 
 from dynls.aem import compile_step, print_program
 from dynls.bitcore import BitVec, XorFamily, random_affine_invertible
+from dynls.blockstream import CHUNK_GROUPS
 from dynls.cli import main
 from dynls.tm import endless_counter, write_machine
 
@@ -57,25 +58,37 @@ def test_run_utm_digests(dls, counter_tm, tmp_path):
     assert _sha256(out / "report.txt") == report
 
 
-# 6000 bytes: a whole number of 16-bit and of 12-bit blocks
-STREAM_INPUT = random.Random("golden-stream").randbytes(6000)
-
+# (flags, input bytes, digest).  6000 bytes is a whole number of 16-bit and
+# of 12-bit blocks; 1191651 bytes (a multiple of 3) is a whole number of
+# 12-bit blocks but not of 12-byte groups, and spans twelve full chunks
+# and a partial one, whose first blocks fall on every phase of period 5
 STREAM = {
     "w16-periodic": (["--maps", "xorfam", "--width", "16", "--count", "6",
-                      "--sched", "periodic:6"],
+                      "--sched", "periodic:6"], 6000,
                      "a83eb3353a9b16c30eec992951c2ef2b3b3653cf8364cd61d68413bf0f91faa4"),
     "w12-trace": (["--maps", "affine:11", "--width", "12", "--count", "5",
-                   "--sched", "trace:{tm}"],
+                   "--sched", "trace:{tm}"], 6000,
                   "f9f50a0676d5dfb83d8ee50cbd60eb5fdeed38439870d36229e165a449ef9444"),
+    "w12-chunks": (["--maps", "affine:13", "--width", "12", "--count", "5",
+                    "--sched", "periodic:5"], 1191651,
+                   "e9546491c766d24bf88b77c4f706143147b9e66e57177dd72980d9bf1a6293b3"),
 }
+
+
+def test_chunked_stream_case_spans_chunks():
+    chunk = CHUNK_GROUPS * 12
+    nbytes = STREAM["w12-chunks"][1]
+    assert nbytes > 3 * chunk and nbytes % chunk and nbytes % 12
+    assert (8 * chunk // 12) % 5  # block offsets move from chunk to chunk
 
 
 @pytest.mark.parametrize("case", sorted(STREAM))
 def test_stream_digests(case, counter_tm, tmp_path):
-    flags, digest = STREAM[case]
+    flags, nbytes, digest = STREAM[case]
     flags = [flag.format(tm=counter_tm) for flag in flags]
+    data = random.Random("golden-stream").randbytes(nbytes)
     src = tmp_path / "input.bits"
-    src.write_bytes(STREAM_INPUT)
+    src.write_bytes(data)
     fwd, back = tmp_path / "fwd", tmp_path / "back"
     assert main(["stream", "transform", "--in", str(src), "--out", str(fwd), *flags]) == 0
     assert _sha256(fwd / "stream.bits") == digest
@@ -83,7 +96,7 @@ def test_stream_digests(case, counter_tm, tmp_path):
     argv = ["stream", "recover", "--in", str(fwd / "stream.bits"),
             "--out", str(back), "--maps", maps]
     assert main(argv) == 0
-    assert (back / "recovered.bits").read_bytes() == STREAM_INPUT
+    assert (back / "recovered.bits").read_bytes() == data
 
 
 # (flags, exit code, digest): random affine maps leak, mask pairs do not

@@ -75,6 +75,14 @@ def test_step_is_pure():
     assert config.tape == before
 
 
+def test_run_leaves_its_start_config_untouched():
+    program, config = endless_counter()
+    config.tape[3] = 2
+    result = run(program, config, max_steps=50)
+    assert config == TmConfig({3: 2}, 0, 0)
+    assert result.final != config
+
+
 # ---------------------------------------------------------------------------
 # transition components (six boolean functions on the 5-bit instruction index)
 # ---------------------------------------------------------------------------
