@@ -252,6 +252,10 @@ class InvertibleMap:
             count=1 << self.width,
         )
 
+    def apply_points(self, x: np.ndarray) -> np.ndarray:
+        """Images of an int64 array of points (vectorized paths)."""
+        return self.to_table_array()[x]
+
     def to_perm_table(self) -> "PermTable":
         return PermTable(self.width, tuple(int(v) for v in self.to_table_array()), _trusted=True)
 
@@ -337,6 +341,9 @@ class Affine(InvertibleMap):
     def to_table_array(self) -> np.ndarray:
         return _affine_table(self)
 
+    def apply_points(self, x: np.ndarray) -> np.ndarray:
+        return _affine_points(self, x)
+
 
 @dataclass(frozen=True)
 class XorFamily(InvertibleMap):
@@ -386,16 +393,36 @@ class XorFamily(InvertibleMap):
         # (x, b) -> (x ^ mask0 ^ b.(mask0 ^ mask1), b ^ flip) is affine
         return _affine_table(self)
 
+    def apply_points(self, x: np.ndarray) -> np.ndarray:
+        return _affine_points(self, x)
+
 
 def _affine_table(m: InvertibleMap) -> np.ndarray:
-    """Full table of a map affine over GF(2), doubled in place with no
-    temporaries: m(x | 2^i) = m(x) ^ m(2^i) ^ m(0) for every x < 2^i."""
+    """Full table of a map affine over GF(2)."""
     base = m.apply_int(0)
-    table = np.empty(1 << m.width, dtype=np.int64)
+    return _xor_span(base, [m.apply_int(1 << i) ^ base for i in range(m.width)])
+
+
+def _affine_points(m: InvertibleMap, x: np.ndarray) -> np.ndarray:
+    """A map affine over GF(2) applied to an array of points: m(0) XORed
+    with the column m(2^i) ^ m(0) of each coordinate i set in the point,
+    looked up eight coordinates at a time, so the cost follows len(x)."""
+    base = m.apply_int(0)
+    columns = [m.apply_int(1 << i) ^ base for i in range(m.width)]
+    out = np.full(x.shape, base, dtype=np.int64)
+    for lo in range(0, m.width, 8):
+        out ^= _xor_span(0, columns[lo : lo + 8])[(x >> lo) & 0xFF]
+    return out
+
+
+def _xor_span(base: int, columns: Sequence[int]) -> np.ndarray:
+    """Entry x is base XORed with the columns of the bits set in x, doubled
+    in place with no temporaries: entry x | 2^i is entry x ^ columns[i]."""
+    table = np.empty(1 << len(columns), dtype=np.int64)
     table[0] = base
-    for i in range(m.width):
+    for i, column in enumerate(columns):
         low = 1 << i
-        np.bitwise_xor(table[:low], m.apply_int(low) ^ base, out=table[low : 2 * low])
+        np.bitwise_xor(table[:low], column, out=table[low : 2 * low])
     return table
 
 

@@ -30,8 +30,9 @@ from .bitcore import BitVec, BoolFn, InvertibleMap, XorFamily, random_affine_inv
 
 def __getattr__(name: str):
     # `dls_engine.stats` stays a module attribute for code that wraps
-    # `stats.chisquare` from outside (the benchmark's tracer), while
-    # importing the package leaves scipy out until it is used
+    # `stats.chisquare` from outside (the benchmark's tracer installs its
+    # hook there), while importing the package leaves scipy out; the
+    # sampled report itself calls only `scipy.special`
     if name == "stats":
         from scipy import stats
 
@@ -304,18 +305,48 @@ def verify_perfect_secrecy(
 
 def sampled_observable_histogram(
     m: InvertibleMap, b: int, samples: int, seed
-) -> np.ndarray:
-    """Observable histogram under ``samples`` uniformly drawn random parts."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Observable histogram under ``samples`` uniformly drawn random parts,
+    as its occupied cells in ascending order and their counts.
+
+    Up to ``SAMPLE_CHUNK`` observable cells the map's table gives each
+    chunk's cells.  Above that the map is applied to the drawn points, and
+    cells are counted in a dense histogram when there are no more of them
+    than samples, by sorting otherwise: no 2^width table is built, time
+    follows the sample count and memory min(samples, 2^(width-1)).
+    """
     if b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     half = 1 << (m.width - 1)
     rng = np.random.default_rng(seed)
-    table = m.to_table_array()
+    chunks = (  # one stream: a one-shot draw's samples
+        rng.integers(0, half, size=min(SAMPLE_CHUNK, samples - done), dtype=np.int64)
+        | (b << (m.width - 1))
+        for done in range(0, samples, SAMPLE_CHUNK)
+    )
+    apply = m.to_table_array().__getitem__ if half <= SAMPLE_CHUNK else m.apply_points
+    observed = (apply(points) & (half - 1) for points in chunks)
+    if half > max(SAMPLE_CHUNK, samples):
+        return np.unique(np.concatenate(list(observed)), return_counts=True)
     hist = np.zeros(half, dtype=np.int64)
-    for done in range(0, samples, SAMPLE_CHUNK):  # one stream: a one-shot draw's samples
-        r = rng.integers(0, half, size=min(SAMPLE_CHUNK, samples - done), dtype=np.int64)
-        hist += np.bincount(table[r | (b << (m.width - 1))] & (half - 1), minlength=half)
-    return hist
+    for obs in observed:
+        hist += np.bincount(obs, minlength=half)
+    cells = np.flatnonzero(hist)
+    return cells, hist[cells]
+
+
+def chisquare_uniform(counts: np.ndarray, cells: int) -> tuple[float, float]:
+    """Pearson's chi-square of a histogram against the uniform spread over
+    ``cells`` cells, given only its occupied counts: each empty cell adds
+    (0 - e)^2 / e.  Returns (statistic, p-value), the values
+    ``scipy.stats.chisquare`` gives for the dense histogram."""
+    from scipy import special  # load on use, and leave out scipy.stats
+
+    e = counts.sum() / cells
+    stat = float(np.sum((counts - e) ** 2 / e) + (cells - len(counts)) * ((0 - e) ** 2 / e))
+    return stat, float(special.chdtrc(cells - 1, stat))
 
 
 @dataclass(frozen=True)
@@ -347,17 +378,14 @@ def sampled_secrecy_report(
     bit value, so every cell expects samples / 2^(n-1) hits; a p-value at
     or below ``alpha`` for any pair fails the whole family.
     """
-    from scipy import stats  # most of the package's import time; load on use
-
     if not family:
         raise ValueError("map family is empty")
     children = iter(np.random.SeedSequence(seed).spawn(2 * len(family)))
     rows = []
     for state, m in family.items():
         for b in (0, 1):
-            hist = sampled_observable_histogram(m, b, samples, next(children))
-            res = stats.chisquare(hist)
-            rows.append((state, b, float(res.statistic), float(res.pvalue)))
+            _, counts = sampled_observable_histogram(m, b, samples, next(children))
+            rows.append((state, b, *chisquare_uniform(counts, 1 << (m.width - 1))))
     passed = all(p > alpha for _, _, _, p in rows)
     return SampledSecrecyReport(samples, alpha, tuple(rows), passed)
 

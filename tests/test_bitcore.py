@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,25 @@ def test_xorfam_matches_its_table(data, width):
     table = fam.to_table_array()
     for x in range(1 << width):
         assert fam.apply_int(x) == int(table[x])
+
+
+@given(st.data(), st.integers(1, 16))
+@settings(max_examples=60, deadline=None)
+def test_apply_points_matches_the_table(data, width):
+    # the affine kinds apply their columns to the points, with no table
+    maps = [random_affine_invertible(width, data.draw(st.integers(0, 2**32 - 1)))]
+    if width >= 2:
+        half = 1 << (width - 1)
+        maps.append(XorFamily(
+            width,
+            data.draw(st.integers(0, half - 1)),
+            data.draw(st.integers(0, half - 1)),
+            data.draw(st.integers(0, 1)),
+        ))
+    drawn = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=64))
+    for x in (np.arange(1 << width), np.array(drawn, dtype=np.int64)):
+        for m in maps:
+            assert np.array_equal(m.apply_points(x), m.to_table_array()[x])
 
 
 

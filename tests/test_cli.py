@@ -2,10 +2,15 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import dynls
 from dynls import cli, tm
 from dynls.blockstream import CHUNK_GROUPS
 from dynls.bitcore import identity_map, swap_coordinates, write_map
@@ -271,6 +276,37 @@ def test_verify_secrecy_sampled_mode(capsys):
     out = capsys.readouterr().out
     assert "samples=20000" in out
     assert "pass=true" in out
+
+
+def _child_env():
+    src = str(Path(dynls.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_wide_sampled_mode_runs_in_350_mb_of_address_space():
+    # a width-24 table alone is 128 MiB; the sampled mode builds none
+    limit = 350 * 10**6
+
+    def lower_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    argv = [sys.executable, "-m", "dynls.cli", "verify-secrecy", "--dls", "xorfam:3",
+            "--width", "24", "--sample", "10000", "--rng", "seeded:3"]
+    out = subprocess.run(argv, env=_child_env(), preexec_fn=lower_limit,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "samples=10000 alpha=0.001 pass=true" in out.stdout
+
+
+def test_sampled_report_leaves_out_scipy_stats():
+    code = (
+        "import sys; from dynls.dls_engine import derived_xor_family, sampled_secrecy_report; "
+        "sampled_secrecy_report(derived_xor_family(12, [0], 1), 1000, 1); "
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_out_of_memory_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,9 @@ counts (2,0,2,0) and for b=1 counts (0,2,0,2); the distance between them is
 1 and each sits at distance 1/2 from uniform.
 """
 
+import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +24,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynls.bitcore import BitVec, BoolFn, XorFamily, identity_map, swap_coordinates
+from dynls.bitcore import (
+    Affine,
+    BitVec,
+    BoolFn,
+    PermTable,
+    XorFamily,
+    identity_map,
+    random_affine_invertible,
+    swap_coordinates,
+)
 from dynls.dls_engine import (
     SAMPLE_CHUNK,
     DlsDecomposition,
     Realization,
     Schedule,
+    chisquare_uniform,
     derived_affine_family,
     derived_xor_family,
     realize_step,
@@ -313,11 +326,11 @@ def test_exact_mode_width_capped():
 
 def test_sampled_histogram_deterministic():
     m = XorFamily(6, 5, 9, 1)
-    h1 = sampled_observable_histogram(m, 0, 5000, seed=42)
-    h2 = sampled_observable_histogram(m, 0, 5000, seed=42)
-    assert np.array_equal(h1, h2)
-    assert h1.sum() == 5000
-    assert len(h1) == 32
+    cells, counts = sampled_observable_histogram(m, 0, 5000, seed=42)
+    again = sampled_observable_histogram(m, 0, 5000, seed=42)
+    assert np.array_equal(cells, again[0]) and np.array_equal(counts, again[1])
+    assert counts.sum() == 5000
+    assert cells.tolist() == list(range(32))  # every cell is hit
 
 
 def test_sampled_histogram_chunks_match_one_draw():
@@ -326,7 +339,47 @@ def test_sampled_histogram_chunks_match_one_draw():
     samples = 2 * SAMPLE_CHUNK + 12345
     r = np.random.default_rng(8).integers(0, 512, size=samples, dtype=np.int64)
     once = np.bincount(m.to_table_array()[r | 512] & 511, minlength=512)
-    assert np.array_equal(sampled_observable_histogram(m, 1, samples, seed=8), once)
+    cells, counts = sampled_observable_histogram(m, 1, samples, seed=8)
+    assert np.array_equal(cells, np.flatnonzero(once))
+    assert np.array_equal(counts, once[cells])
+
+
+@pytest.mark.parametrize("width", [22, 24])
+def test_wide_sampled_histogram_chunks_match_one_draw(width):
+    # no table above SAMPLE_CHUNK cells: at width 22 the sample outnumbers
+    # the cells and fills a dense histogram, at 24 the cells are sorted
+    half = 1 << (width - 1)
+    m = XorFamily(width, 0x2B5A93 % half, 0x1C0FE7 % half, 1)
+    samples = 2 * SAMPLE_CHUNK + 12345
+    assert (samples >= half) == (width == 22)
+    r = np.random.default_rng(8).integers(0, half, size=samples, dtype=np.int64)
+    cells, counts = np.unique(r ^ m.mask1, return_counts=True)
+    got = sampled_observable_histogram(m, 1, samples, seed=8)
+    assert np.array_equal(got[0], cells) and np.array_equal(got[1], counts)
+
+
+def _small_perm(width):
+    return PermTable(width, tuple(random.Random(width).sample(range(1 << width), 1 << width)))
+
+
+@pytest.mark.parametrize("width", range(2, 25))
+def test_chisquare_matches_scipy_on_the_dense_histogram(width):
+    from scipy import stats
+
+    half = 1 << (width - 1)
+    maps = [XorFamily(width, 0x5A5A5A % half, 0x3C3C3C % half, width & 1),
+            random_affine_invertible(width, width)]
+    if width <= 8:
+        maps.append(_small_perm(width))
+    for m in maps:
+        for b in (0, 1):
+            cells, counts = sampled_observable_histogram(m, b, 3000, seed=width)
+            dense = np.zeros(half, dtype=np.int64)
+            dense[cells] = counts
+            ref = stats.chisquare(dense)
+            stat, p = chisquare_uniform(counts, half)
+            assert f"chi2={stat:.2f} p={p:.6g}" == f"chi2={ref.statistic:.2f} p={ref.pvalue:.6g}"
+            assert math.isclose(stat, ref.statistic, rel_tol=1e-13)
 
 
 def test_sampled_report_passes_for_uniform_maps():
@@ -346,6 +399,39 @@ def test_sampled_report_flags_skew():
         {"leaky": swap_coordinates(4, 0, 3)}, samples=20000, seed=11
     )
     assert not report.passed
+
+
+def _coordinate_zero_leak(width):
+    # the affine map that swaps observable coordinate 0 with the hidden bit
+    rows = [1 << i for i in range(width)]
+    rows[0], rows[-1] = rows[-1], rows[0]
+    return Affine(width, tuple(rows), 0)
+
+
+@pytest.mark.parametrize("width,samples", [(16, 10**4), (20, 10**4), (24, 10**5)])
+def test_sampled_report_catches_a_planted_leak(width, samples):
+    report = sampled_secrecy_report({"leak": _coordinate_zero_leak(width)}, samples, seed=width)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_report_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sampled_secrecy_report(derived_xor_family(8, [0], seed=1), samples, seed=1)
+
+
+@pytest.mark.parametrize("derive", [derived_xor_family, derived_affine_family])
+def test_wide_sampled_report_memory_follows_samples(derive):
+    from scipy import special  # noqa: F401  (loaded once, not per report)
+
+    family = derive(24, [0], seed=3)
+    tracemalloc.start()
+    try:
+        sampled_secrecy_report(family, 10**4, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20  # a width-24 table alone is 128 MiB
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ SECRECY = {
     "sampled": (["--dls", "xorfam:5", "--width", "12", "--states", "2",
                  "--sample", "4000", "--rng", "seeded:3"], 0,
                 "f5f59800cd998a373695cde7aada6eaa5012cb7d5c1aad200e9beed6360c9f2f"),
+    # width 24 samples above SAMPLE_CHUNK observable cells
+    "sampled-w24-xorfam": (["--dls", "xorfam:5", "--width", "24", "--states", "1",
+                            "--sample", "10000", "--rng", "seeded:3"], 0,
+                           "c0e7a84334eb07583b0935246c89a1fbdd1d616f2bc29a66925690feb8680f11"),
+    "sampled-w24-affine": (["--dls", "affine:5", "--width", "24", "--states", "1",
+                            "--sample", "10000", "--rng", "seeded:3"], 1,
+                           "8d6adbebf9f12d4b27ea4e952faded516ef37aac393aca83df267adc5c3fba51"),
 }
 
 
