@@ -140,117 +140,85 @@ FiringTrace = dict[int, frozenset]
 # ---------------------------------------------------------------------------
 # concrete syntax
 
-_KINDS = {k.value: k for k in ElementKind}
-
-
-def _int(token: str, what: str, lineno: int) -> int:
+def _int(token: str, what: str) -> int:
     try:
         return int(token, 10)
     except ValueError:
-        raise AemSyntaxError(lineno, f"{what} must be an integer, got {token!r}") from None
+        raise ValueError(f"{what} must be an integer, got {token!r}") from None
 
 
-def _name(token: str, lineno: int) -> str:
+def _ref(token: str) -> str:
+    """A token naming an element that the command refers to."""
     if not _NAME_RE.match(token):
-        raise AemSyntaxError(lineno, f"bad element name {token!r}")
+        raise ValueError(f"bad element name {token!r}")
     return token
 
 
-def _parse_element(tokens: list, lineno: int) -> ElementCmd:
-    if len(tokens) != 5:
-        raise AemSyntaxError(lineno, "expected: E <name> <threshold> <refractory> <kind>")
-    name = _name(tokens[1], lineno)
-    threshold = _int(tokens[2], "threshold", lineno)
-    refractory = _int(tokens[3], "refractory", lineno)
-    if refractory < 0:
-        raise AemSyntaxError(lineno, f"refractory must be >= 0, got {refractory}")
-    kind = _KINDS.get(tokens[4])
-    if kind is None:
-        raise AemSyntaxError(lineno, f"unknown element kind {tokens[4]!r}")
-    return ElementCmd(Element(name, threshold, refractory, kind))
+_USAGE = {
+    "E": "E <name> <threshold> <refractory> <kind>",
+    "C": "C <from> <to> <amplitude> <delay>",
+    "F": "F <name> <tick>",
+}
 
 
-def _parse_connection(tokens: list, lineno: int) -> ConnectionCmd:
-    if len(tokens) != 5:
-        raise AemSyntaxError(lineno, "expected: C <from> <to> <amplitude> <delay>")
-    source = _name(tokens[1], lineno)
-    target = _name(tokens[2], lineno)
-    amplitude = _int(tokens[3], "amplitude", lineno)
-    delay = _int(tokens[4], "delay", lineno)
-    if delay < 1:
-        raise AemSyntaxError(lineno, f"delay must be >= 1, got {delay}")
-    return ConnectionCmd(Connection(source, target, amplitude, delay))
-
-
-def _parse_fire(tokens: list, lineno: int) -> FireCmd:
-    if len(tokens) != 3:
-        raise AemSyntaxError(lineno, "expected: F <name> <tick>")
-    name = _name(tokens[1], lineno)
-    tick = _int(tokens[2], "tick", lineno)
-    if tick < 0:
-        raise AemSyntaxError(lineno, f"tick must be >= 0, got {tick}")
-    return FireCmd(name, tick)
+def _command(tokens: list) -> Command:
+    """One E, C or F line.  The command types check their own values."""
+    usage = _USAGE.get(tokens[0])
+    if usage is None:
+        raise ValueError(f"unknown command {tokens[0]!r}")
+    if len(tokens) != len(usage.split()):
+        raise ValueError(f"expected: {usage}")
+    if tokens[0] == "E":
+        _, name, threshold, refractory, kind = tokens
+        threshold, refractory = _int(threshold, "threshold"), _int(refractory, "refractory")
+        return ElementCmd(Element(name, threshold, refractory, ElementKind(kind)))
+    if tokens[0] == "C":
+        _, source, target, amplitude, delay = tokens
+        amplitude, delay = _int(amplitude, "amplitude"), _int(delay, "delay")
+        return ConnectionCmd(Connection(_ref(source), _ref(target), amplitude, delay))
+    _, name, tick = tokens
+    return FireCmd(_ref(name), _int(tick, "tick"))
 
 
 def parse(text: str) -> AemProgram:
     """Parse program text.  Comments run from `#` to end of line."""
-    lines = text.splitlines()
+    lines = (
+        (lineno, tokens)
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if (tokens := line.split("#", 1)[0].split())
+    )
     commands: list = []
     seen = set()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        stripped = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        head = tokens[0]
-        if head == "E":
-            cmd = _parse_element(tokens, lineno)
-            if cmd.element.name in seen:
-                raise AemSyntaxError(lineno, f"duplicate element {cmd.element.name!r}")
-            seen.add(cmd.element.name)
-            commands.append(cmd)
-        elif head == "C":
-            commands.append(_parse_connection(tokens, lineno))
-        elif head == "F":
-            commands.append(_parse_fire(tokens, lineno))
-        elif head in ("MC", "ME"):
+    lineno = 0  # the line being read, named by any error
+    try:
+        for lineno, tokens in lines:
+            head = tokens[0]
+            if head not in ("MC", "ME"):
+                cmd = _command(tokens)
+                if isinstance(cmd, ElementCmd):
+                    if cmd.element.name in seen:
+                        raise ValueError(f"duplicate element {cmd.element.name!r}")
+                    seen.add(cmd.element.name)
+                commands.append(cmd)
+                continue
             if len(tokens) != 3 or tokens[2] != "{":
-                raise AemSyntaxError(lineno, f"expected: {head} <trigger> {{")
-            kind = MetaKind(head)
-            trigger = _name(tokens[1], lineno)
-            payload = []
+                raise ValueError(f"expected: {head} <trigger> {{")
             opened_at = lineno
-            while True:
-                if i >= len(lines):
-                    raise AemSyntaxError(
-                        opened_at, "unterminated meta block (missing '}')"
-                    )
-                inner_no = i + 1
-                inner = lines[i].split("#", 1)[0].strip()
-                i += 1
-                if not inner:
-                    continue
-                if inner == "}":
+            kind = MetaKind(head)
+            trigger = _ref(tokens[1])
+            payload = []
+            for lineno, tokens in lines:
+                if tokens == ["}"]:
                     break
-                inner_tokens = inner.split()
-                inner_head = inner_tokens[0]
-                if kind is MetaKind.CONNECTIONS and inner_head == "C":
-                    payload.append(_parse_connection(inner_tokens, inner_no))
-                elif kind is MetaKind.ELEMENTS and inner_head == "E":
-                    payload.append(_parse_element(inner_tokens, inner_no))
-                else:
-                    raise AemSyntaxError(
-                        inner_no,
-                        f"{head} payload only takes "
-                        f"{'C' if kind is MetaKind.CONNECTIONS else 'E'} lines, "
-                        f"got {inner_head!r}",
-                    )
+                cmd = _command(tokens)
+                MetaCmd(kind, trigger, (cmd,))  # checks the entry's kind
+                payload.append(cmd)
+            else:
+                lineno = opened_at
+                raise ValueError("unterminated meta block (missing '}')")
             commands.append(MetaCmd(kind, trigger, tuple(payload)))
-        else:
-            raise AemSyntaxError(lineno, f"unknown command {head!r}")
+    except ValueError as exc:
+        raise AemSyntaxError(lineno, str(exc)) from None
     return AemProgram(tuple(commands))
 
 
@@ -307,19 +275,16 @@ class Machine:
         self._forced: dict[int, set] = {}
         self._last_fire: dict[str, int] = {}
         self._pending: dict[int, list] = {}
-        # (source, delay) -> {target: amplitude}, mirroring `connections`
-        self._out: dict[tuple, dict[str, int]] = {}
-        # delay -> number of connections using it
-        self._delays: dict[int, int] = {}
+        # delay -> source -> {target: amplitude}, the nonzero `connections`;
+        # empty entries are pruned, so the keys are the delays in use
+        self._out: dict[int, dict[str, dict[str, int]]] = {}
 
     def apply(self, commands: Union[AemProgram, Iterable[Command]]) -> None:
         if isinstance(commands, AemProgram):
             commands = commands.commands
         for cmd in commands:
-            if isinstance(cmd, ElementCmd):
-                self.elements[cmd.element.name] = cmd.element
-            elif isinstance(cmd, ConnectionCmd):
-                self._install_connection(cmd)
+            if isinstance(cmd, (ElementCmd, ConnectionCmd)):
+                self._apply_rule(cmd)
             elif isinstance(cmd, FireCmd):
                 self._require(cmd.name, "fire target")
                 if cmd.tick < self.clock:
@@ -338,7 +303,10 @@ class Machine:
         if name not in self.elements:
             raise AemLinkError(f"{role} {name!r} is not an element of this machine")
 
-    def _install_connection(self, cmd: ConnectionCmd) -> None:
+    def _apply_rule(self, cmd: RuleCmd) -> None:
+        if isinstance(cmd, ElementCmd):
+            self.elements[cmd.element.name] = cmd.element
+            return
         c = cmd.connection
         key = (c.source, c.target)
         old = self.connections.get(key)
@@ -349,34 +317,30 @@ class Machine:
         self._require(c.source, "connection source")
         self._require(c.target, "connection target")
         if old is not None:
-            edges = self._out[(old.source, old.delay)]
+            sources = self._out[old.delay]
+            edges = sources[old.source]
             del edges[old.target]
             if not edges:
-                del self._out[(old.source, old.delay)]
-            self._delays[old.delay] -= 1
-            if not self._delays[old.delay]:
-                del self._delays[old.delay]
+                del sources[old.source]
+                if not sources:
+                    del self._out[old.delay]
         if c.amplitude == 0:
             self.connections.pop(key, None)
         else:
             self.connections[key] = c
-            self._out.setdefault((c.source, c.delay), {})[c.target] = c.amplitude
-            self._delays[c.delay] = self._delays.get(c.delay, 0) + 1
+            self._out.setdefault(c.delay, {}).setdefault(c.source, {})[c.target] = c.amplitude
 
     def step(self) -> frozenset:
         """Advance one tick; returns the set of names that fired."""
         t = self.clock
         for cmd in self._pending.pop(t, ()):
-            if isinstance(cmd, ElementCmd):
-                self.elements[cmd.element.name] = cmd.element
-            else:
-                self._install_connection(cmd)
+            self._apply_rule(cmd)
 
         fired = set(self._forced.pop(t, ()))
         sums: dict[str, int] = {}
-        for delay in self._delays:
+        for delay, sources in self._out.items():
             for source in self.trace.get(t - delay, ()):
-                for target, amplitude in self._out.get((source, delay), {}).items():
+                for target, amplitude in sources.get(source, {}).items():
                     sums[target] = sums.get(target, 0) + amplitude
         for name, total in sums.items():
             if name in fired:
@@ -653,7 +617,7 @@ def run_utm_realization(program: TmProgram, dls, steps: int):
     observables = []
     violations = []
     for j, pair in enumerate(pairs):
-        bit = bit_fn(BitVec(5, instruction_index(*pair)))
+        bit = bit_fn.table[instruction_index(*pair)]
         real = dls.realize(j, bit)
         base = EPOCH_TICKS * j
         machine.apply(compile_step(pair, dls.map_for(pair), real.random_part, bit, base))

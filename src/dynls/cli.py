@@ -20,7 +20,6 @@ from .aem import UtmRunReport, run_utm_realization, trace_to_jsonl
 from .bitcore import read_map
 from .blockstream import CHUNK_GROUPS, StreamTransform
 from .dls_engine import (
-    MAX_EXACT_WIDTH,
     DlsDecomposition,
     Schedule,
     derived_affine_family,
@@ -218,7 +217,6 @@ def cmd_verify_secrecy(args) -> int:
         if not paths:
             raise UsageError(f"no .map files in {base}")
         family = {p.stem: read_map(p) for p in paths}
-        width = next(iter(family.values())).width
     else:
         if args.width is None:
             raise UsageError("--width is required for derived families")
@@ -226,9 +224,8 @@ def cmd_verify_secrecy(args) -> int:
             raise UsageError(f"--width must be >= 2, got {args.width}")
         if args.states < 1:
             raise UsageError(f"--states must be >= 1, got {args.states}")
-        width = args.width
         family = family_for_states(
-            kind, spec_arg, width, list(range(args.states)), descriptor.get("seed", 0)
+            kind, spec_arg, args.width, list(range(args.states)), descriptor.get("seed", 0)
         )
 
     if args.sample is not None:
@@ -240,11 +237,6 @@ def cmd_verify_secrecy(args) -> int:
             descriptor = {**descriptor, "derived_seed": seed}
         report = sampled_secrecy_report(family, args.sample, seed)
     else:
-        if width > MAX_EXACT_WIDTH:
-            raise UsageError(
-                f"width {width} exceeds the exact-mode cap {MAX_EXACT_WIDTH}; "
-                f"pass --sample <count>"
-            )
         report = verify_perfect_secrecy(family)
 
     text = _terminated(report.to_text())

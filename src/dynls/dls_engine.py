@@ -121,9 +121,9 @@ class DlsDecomposition:
 
     def decode(self, physical: BitVec, state: Any) -> tuple[BitVec, int]:
         """Invert a physical state back to (random part, logical bit)."""
-        pre = self._inverse_for(state).apply(physical)
-        r, top = pre.split(self.width - 1)
-        return r, top.value
+        pre = self._inverse_for(state).apply(physical).value
+        k = self.width - 1
+        return BitVec(k, pre & ((1 << k) - 1)), pre >> k
 
 
 def realize_step(
@@ -137,7 +137,8 @@ def realize_step(
             f"random part width {r.width} != {dls.width - 1}"
         )
     state = dls.scheduler.state_at(j)
-    physical = dls.map_for(state).apply(r.concat(BitVec(1, logical_bit)))
+    m = dls.map_for(state)
+    physical = BitVec(m.width, m.apply_int(r.value | logical_bit << r.width))
     return Realization(j, state, r, logical_bit, physical)
 
 
@@ -270,6 +271,17 @@ class SecrecyReport:
         return "\n".join(lines)
 
 
+def _family_width(family: Mapping[Any, InvertibleMap]) -> int:
+    """The one width every map of a non-empty family has."""
+    if not family:
+        raise ValueError("map family is empty")
+    widths = {m.width for m in family.values()}
+    if len(widths) != 1:
+        raise ValueError(f"family mixes widths {sorted(widths)}")
+    (width,) = widths
+    return width
+
+
 def verify_perfect_secrecy(
     family: Mapping[Any, InvertibleMap] | DlsDecomposition,
 ) -> SecrecyReport:
@@ -277,12 +289,7 @@ def verify_perfect_secrecy(
     identical, measured by total variation against the first one."""
     if isinstance(family, DlsDecomposition):
         family = family.family
-    if not family:
-        raise ValueError("map family is empty")
-    widths = {m.width for m in family.values()}
-    if len(widths) != 1:
-        raise ValueError(f"family mixes widths {sorted(widths)}")
-    (width,) = widths
+    width = _family_width(family)
     half = 1 << (width - 1)
     arrays = {
         (state, b): secrecy_distribution(m, b)
@@ -378,14 +385,13 @@ def sampled_secrecy_report(
     bit value, so every cell expects samples / 2^(n-1) hits; a p-value at
     or below ``alpha`` for any pair fails the whole family.
     """
-    if not family:
-        raise ValueError("map family is empty")
+    cells = 1 << (_family_width(family) - 1)
     children = iter(np.random.SeedSequence(seed).spawn(2 * len(family)))
     rows = []
     for state, m in family.items():
         for b in (0, 1):
             _, counts = sampled_observable_histogram(m, b, samples, next(children))
-            rows.append((state, b, *chisquare_uniform(counts, 1 << (m.width - 1))))
+            rows.append((state, b, *chisquare_uniform(counts, cells)))
     passed = all(p > alpha for _, _, _, p in rows)
     return SampledSecrecyReport(samples, alpha, tuple(rows), passed)
 

@@ -390,6 +390,18 @@ def random_batch(rng, names, clock, first):
     return cmds
 
 
+def out_edges(machine):
+    """The machine's out-edge index as (delay, source, target, amplitude)
+    rows, checking that it holds no empty entry."""
+    rows = set()
+    for delay, sources in machine._out.items():
+        assert sources
+        for source, edges in sources.items():
+            assert edges
+            rows |= {(delay, source, target, a) for target, a in edges.items()}
+    return rows
+
+
 def test_machine_matches_full_scan_oracle():
     import random
 
@@ -407,6 +419,11 @@ def test_machine_matches_full_scan_oracle():
                 fired = machine.step()
                 oracle.step()
                 assert fired == oracle.trace[t], (seed, t)
+            assert out_edges(machine) == {
+                (c.delay, c.source, c.target, c.amplitude)
+                for c in machine.connections.values()
+                if c.amplitude
+            }, seed
         assert machine.trace == oracle.trace
         assert machine.connections == oracle.connections
         assert machine.elements == oracle.elements
@@ -471,6 +488,12 @@ def test_parse_meta_blocks():
         ("E a 1 0 random\nMC a {\n  E b 1 0 plain\n}\n", "line 3"),
         ("E a 1 0 random\nME a {\n  C a a 1 1\n}\n", "line 3"),
         ("E a 1 0 random\nC a a one 1\n", "line 2"),
+        ("E a 1 0 random\nC a 1b 1 1\n", "line 2"),
+        ("E a 1 0 random\nF 9x 0\n", "line 2"),
+        ("E a 1 0 random\nMC 1x {\n}\n", "line 2"),
+        ("E a 1 0 random\nME a {\n  E 1b 1 0 plain\n}\n", "line 3"),
+        ("E a 1 0 random\nMC a {\n  C a a x 1\n}\n", "line 3"),
+        ("E a 1 0 random\nMC a {\n  C a a 1 0\n}\n", "line 3"),
     ],
 )
 def test_parse_errors_carry_line_info(text, fragment):

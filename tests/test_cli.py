@@ -13,7 +13,7 @@ import pytest
 import dynls
 from dynls import cli, tm
 from dynls.blockstream import CHUNK_GROUPS
-from dynls.bitcore import identity_map, swap_coordinates, write_map
+from dynls.bitcore import XorFamily, identity_map, swap_coordinates, write_map
 from dynls.cli import main
 from dynls.tm import binary_incrementer, endless_counter, write_machine
 
@@ -255,10 +255,21 @@ def test_verify_secrecy_leaky_family_fails(tmp_path, capsys):
     assert "pass=false" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sample", [[], ["--sample", "1000"]])
+def test_verify_secrecy_rejects_mixed_widths(tmp_path, capsys, sample):
+    mapdir = tmp_path / "maps"
+    mapdir.mkdir()
+    write_map(XorFamily(6, 1, 2, 1), mapdir / "a.map")
+    write_map(XorFamily(8, 3, 4, 0), mapdir / "b.map")
+    code = main(["verify-secrecy", "--dls", f"file:{mapdir}", *sample])
+    assert code == 2
+    assert "family mixes widths [6, 8]" in capsys.readouterr().err
+
+
 def test_verify_secrecy_width_cap_needs_sample(capsys):
     code = main(["verify-secrecy", "--dls", "xorfam", "--width", "21"])
     assert code == 2
-    assert "--sample" in capsys.readouterr().err
+    assert "sampled mode" in capsys.readouterr().err
 
 
 def test_verify_secrecy_sampled_mode(capsys):

@@ -169,6 +169,12 @@ def test_wrong_state_decode_flips_bit_when_flips_differ():
             assert wrong != b  # differing flip always lands on the wrong side
 
 
+def test_decode_width_checked():
+    dls = _tiny_dls(ByteSource(b""))
+    with pytest.raises(ValueError):
+        dls.decode(BitVec(4, 0), ("s", 0))
+
+
 def test_realize_step_width_checked():
     dls = _tiny_dls(ByteSource(b""))
     with pytest.raises(ValueError):
@@ -291,6 +297,19 @@ def test_secrecy_report_text_format():
     assert "max_tv=0/1 pass=true" in text
     leaky = verify_perfect_secrecy({"x": swap_coordinates(3, 0, 2)}).to_text()
     assert "pass=false" in leaky
+
+
+@pytest.mark.parametrize(
+    "check",
+    [verify_perfect_secrecy, lambda fam: sampled_secrecy_report(fam, 100, seed=1)],
+    ids=["exact", "sampled"],
+)
+def test_secrecy_checks_need_one_width(check):
+    with pytest.raises(ValueError, match="empty"):
+        check({})
+    mixed = {**derived_xor_family(6, ["a"], seed=1), **derived_xor_family(8, ["b"], seed=1)}
+    with pytest.raises(ValueError, match=r"mixes widths \[6, 8\]"):
+        check(mixed)
 
 
 @given(st.integers(0, 2**32 - 1))
