@@ -274,7 +274,7 @@ class PermTable(InvertibleMap):
         if len(self.table) != size:
             raise ValueError(f"table length {len(self.table)} != 2^{self.width}")
         if not self._trusted and not is_bijection(self.table):
-            raise NotABijectionError("permutation table has duplicate entries")
+            raise NotABijectionError(f"table is not a permutation of 0..{size - 1}")
 
     def apply_int(self, x: int) -> int:
         return self.table[x]
@@ -450,9 +450,8 @@ def swap_coordinates(width: int, i: int, j: int) -> PermTable:
 
 
 def is_bijection(table: Sequence[int | BitVec]) -> bool:
-    """True iff all entries are distinct (and the table is a full domain)."""
-    seen = {int(v) for v in table}
-    return len(seen) == len(table)
+    """True iff the entries are a permutation of range(len(table))."""
+    return {int(v) for v in table} == set(range(len(table)))
 
 
 def random_affine_invertible(width: int, seed: int) -> Affine:
@@ -488,38 +487,27 @@ def map_to_text(m: InvertibleMap) -> str:
 
 def map_from_text(text: str) -> InvertibleMap:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MapFormatError("empty map file")
-    header = dict(
-        part.split("=", 1) for part in lines[0].split() if "=" in part
-    )
     try:
+        if not lines:
+            raise ValueError("empty map file")
+        header = dict(
+            part.split("=", 1) for part in lines[0].split() if "=" in part
+        )
         width = int(header["width"])
         kind = header["kind"]
-    except KeyError as exc:
-        raise MapFormatError(f"header missing {exc} field") from None
-    body = lines[1:]
-    try:
+        body = lines[1:]
         if kind == "perm":
-            if len(body) != 1 << width:
-                raise MapFormatError(
-                    f"perm body has {len(body)} rows, expected {1 << width}"
-                )
-            table = [0] * (1 << width)
-            for ln in body:
-                xs, ys = ln.split()
-                table[int(xs, 16)] = int(ys, 16)
-            return PermTable(width, tuple(table))
+            table = dict(tuple(int(t, 16) for t in ln.split()) for ln in body)
+            stray = sorted(table.keys() ^ set(range(len(body))))
+            if stray:
+                raise ValueError(f"perm rows must list each input 0..{len(body) - 1} once: {stray}")
+            return PermTable(width, tuple(table[x] for x in range(len(body))))
         if kind == "affine":
-            if len(body) != width + 1:
-                raise MapFormatError(
-                    f"affine body has {len(body)} rows, expected {width + 1}"
-                )
-            rows = tuple(int(ln, 16) for ln in body[:-1])
-            return Affine(width, rows, int(body[-1], 16))
+            rows = tuple(int(ln, 16) for ln in body)  # the matrix rows, then the offset
+            return Affine(width, rows[:-1], rows[-1] if rows else 0)
         if kind == "xorfam":
             if len(body) != 1:
-                raise MapFormatError("xorfam body must be a single line")
+                raise ValueError("xorfam body must be a single line")
             fields = dict(part.split("=", 1) for part in body[0].split())
             return XorFamily(
                 width,
@@ -527,11 +515,11 @@ def map_from_text(text: str) -> InvertibleMap:
                 int(fields["mask1"], 16),
                 int(fields["flip"]),
             )
-    except MapFormatError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise MapFormatError(f"malformed map body: {exc}") from exc
-    raise MapFormatError(f"unknown map kind {kind!r}")
+        raise ValueError(f"unknown map kind {kind!r}")
+    except KeyError as exc:
+        raise MapFormatError(f"missing {exc} field") from None
+    except ValueError as exc:
+        raise MapFormatError(str(exc)) from None
 
 
 def write_map(m: InvertibleMap, path) -> None:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bitcore import InvertibleMap
-from .dls_engine import Schedule
+from .dls_engine import Schedule, _family_width
 
 MAX_STREAM_WIDTH = 16
 
@@ -92,12 +92,7 @@ class StreamTransform:
     """
 
     def __init__(self, maps: Sequence[InvertibleMap], schedule: Schedule) -> None:
-        if not maps:
-            raise ValueError("need at least one map")
-        widths = {m.width for m in maps}
-        if len(widths) != 1:
-            raise ValueError(f"maps mix widths {sorted(widths)}")
-        (self.width,) = widths
+        self.width = _family_width(maps)
         if self.width > MAX_STREAM_WIDTH:
             raise ValueError(
                 f"block width {self.width} exceeds table cap {MAX_STREAM_WIDTH}"

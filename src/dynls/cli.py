@@ -222,15 +222,11 @@ def cmd_verify_secrecy(args) -> int:
             raise UsageError("--width is required for derived families")
         if args.width < 2:
             raise UsageError(f"--width must be >= 2, got {args.width}")
-        if args.states < 1:
-            raise UsageError(f"--states must be >= 1, got {args.states}")
         family = family_for_states(
             kind, spec_arg, args.width, list(range(args.states)), descriptor.get("seed", 0)
         )
 
     if args.sample is not None:
-        if args.sample < 1:
-            raise UsageError(f"--sample must be >= 1, got {args.sample}")
         seed = descriptor.get("seed")
         if seed is None:
             seed = derive_seed64(source)
@@ -320,9 +316,10 @@ def cmd_stream(args) -> int:
     kind, spec_arg = parse_family_spec(args.maps)
     family = family_for_states(kind, spec_arg, width, list(range(count)), 0)
     maps = [family[i] for i in range(count)]
-    schedule = build_schedule(sched_spec, count)
-
-    apply = getattr(StreamTransform(maps, schedule), f"{args.mode}_chunks")
+    transform = StreamTransform(maps, build_schedule(sched_spec, count))
+    if transform.width != width:
+        raise UsageError(f"block width {width} does not match the maps' width {transform.width}")
+    apply = getattr(transform, f"{args.mode}_chunks")
     name = "stream.bits" if args.mode == "transform" else "recovered.bits"
     with open(args.input, "rb") as infile:
         chunks = iter(functools.partial(infile.read, CHUNK_GROUPS * width), b"")

@@ -79,6 +79,17 @@ class Realization:
         return BitVec(w - 1, self.physical.value & ((1 << (w - 1)) - 1))
 
 
+def _family_width(maps: Iterable[InvertibleMap]) -> int:
+    """The one width every map of a non-empty family has."""
+    widths = {m.width for m in maps}
+    if not widths:
+        raise ValueError("map family is empty")
+    if len(widths) != 1:
+        raise ValueError(f"family mixes widths {sorted(widths)}")
+    (width,) = widths
+    return width
+
+
 @dataclass
 class DlsDecomposition:
     """Width-n physical layer: a map family, a schedule, and a bit source."""
@@ -94,13 +105,9 @@ class DlsDecomposition:
     def __post_init__(self) -> None:
         if self.width < 2:
             raise ValueError("width must be at least 2 (one observable bit)")
-        if not self.family:
-            raise ValueError("map family is empty")
-        for state, m in self.family.items():
-            if m.width != self.width:
-                raise ValueError(
-                    f"map for state {state!r} has width {m.width}, expected {self.width}"
-                )
+        width = _family_width(self.family.values())
+        if width != self.width:
+            raise ValueError(f"family has width {width}, expected {self.width}")
 
     def map_for(self, state: Any) -> InvertibleMap:
         try:
@@ -271,36 +278,23 @@ class SecrecyReport:
         return "\n".join(lines)
 
 
-def _family_width(family: Mapping[Any, InvertibleMap]) -> int:
-    """The one width every map of a non-empty family has."""
-    if not family:
-        raise ValueError("map family is empty")
-    widths = {m.width for m in family.values()}
-    if len(widths) != 1:
-        raise ValueError(f"family mixes widths {sorted(widths)}")
-    (width,) = widths
-    return width
-
-
 def verify_perfect_secrecy(
     family: Mapping[Any, InvertibleMap] | DlsDecomposition,
 ) -> SecrecyReport:
     """Exact secrecy check: all (state, bit) observable histograms must be
-    identical, measured by total variation against the first one."""
+    identical, measured by total variation against the first one.  Each
+    is compared as it is made, so only two are held at a time."""
     if isinstance(family, DlsDecomposition):
         family = family.family
-    width = _family_width(family)
+    width = _family_width(family.values())
     half = 1 << (width - 1)
-    arrays = {
-        (state, b): secrecy_distribution(m, b)
-        for state, m in family.items()
-        for b in (0, 1)
-    }
-    ref = next(iter(arrays.values()))
-    tvs = {
-        key: Fraction(int(np.abs(arr - ref).sum()), 2 * half)
-        for key, arr in arrays.items()
-    }
+    ref = None
+    tvs = {}
+    for state, m in family.items():
+        for b in (0, 1):
+            hist = secrecy_distribution(m, b)
+            ref = hist if ref is None else ref
+            tvs[state, b] = Fraction(int(np.abs(hist - ref).sum()), 2 * half)
     max_tv = max(tvs.values())
     return SecrecyReport(width, tvs, max_tv, max_tv == 0)
 
@@ -385,7 +379,7 @@ def sampled_secrecy_report(
     bit value, so every cell expects samples / 2^(n-1) hits; a p-value at
     or below ``alpha`` for any pair fails the whole family.
     """
-    cells = 1 << (_family_width(family) - 1)
+    cells = 1 << (_family_width(family.values()) - 1)
     children = iter(np.random.SeedSequence(seed).spawn(2 * len(family)))
     rows = []
     for state, m in family.items():

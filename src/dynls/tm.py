@@ -73,11 +73,15 @@ def step(program: TmProgram, config: TmConfig) -> TmConfig | None:
     return None if result.halted else result.final
 
 
-def run(program: TmProgram, config: TmConfig, max_steps: int) -> RunResult:
+def _check_config(program: TmProgram, config: TmConfig) -> None:
     if not 0 <= config.state < program.num_states:
         raise ValueError(f"start state {config.state} out of range")
     if any(not 0 < sym < program.num_symbols for sym in config.tape.values()):
         raise ValueError("tape holds a symbol outside the alphabet")
+
+
+def run(program: TmProgram, config: TmConfig, max_steps: int) -> RunResult:
+    _check_config(program, config)
     tape, head, state = dict(config.tape), config.head, config.state  # updated in place
     trace: list[tuple[int, int]] = []
     for _ in range(max_steps):
@@ -221,63 +225,41 @@ def machine_to_text(program: TmProgram, config: TmConfig | None = None) -> str:
 
 def machine_from_text(text: str) -> tuple[TmProgram, TmConfig]:
     """Parse a machine file; missing start/tape lines default to a blank
-    tape with the head on cell 0 in state 0."""
+    tape with the head on cell 0 in state 0.
+
+    The parser checks tokens, integers and the lines present; the program
+    and its start configuration check their own values."""
     header: dict[str, str] = {}
     rules: dict[tuple[int, int], Rule] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line and "->" not in line:
-            key, _, val = line.partition("=")
-            header[key.strip()] = val.strip()
-            continue
-        tokens = line.split()
-        if len(tokens) != 6 or tokens[2] != "->":
-            raise MachineFormatError(f"bad rule line: {raw!r}")
-        try:
+    try:
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" in line and "->" not in line:
+                key, _, val = line.partition("=")
+                header[key.strip()] = val.strip()
+                continue
+            tokens = line.split()
+            if len(tokens) != 6 or tokens[2] != "->":
+                raise ValueError(f"bad rule line: {raw!r}")
             q, a = int(tokens[0]), int(tokens[1])
             q2, a2 = int(tokens[3]), int(tokens[4])
-        except ValueError:
-            raise MachineFormatError(f"bad rule line: {raw!r}") from None
-        if (q, a) in rules:
-            raise MachineFormatError(f"duplicate rule for pair ({q},{a})")
-        rules[(q, a)] = (q2, a2, tokens[5])
-    try:
-        num_states = int(header["states"])
-        num_symbols = int(header["alphabet"])
+            if (q, a) in rules:
+                raise ValueError(f"duplicate rule for pair ({q},{a})")
+            rules[(q, a)] = (q2, a2, tokens[5])
+        program = TmProgram(int(header["states"]), int(header["alphabet"]), rules)
+        codes, sep, head = header.get("tape", "@0").partition("@")
+        if not sep:
+            raise ValueError("tape line needs <codes>@<head>")
+        cells = [int(c) for c in codes.split(",")] if codes else []
+        config = TmConfig(dict(enumerate(cells)), int(head), int(header.get("start", 0)))
+        _check_config(program, config)
     except KeyError as exc:
         raise MachineFormatError(f"missing {exc} header line") from None
     except ValueError as exc:
         raise MachineFormatError(str(exc)) from None
-    try:
-        program = TmProgram(num_states, num_symbols, rules)
-    except ValueError as exc:
-        raise MachineFormatError(str(exc)) from None
-
-    state = 0
-    if "start" in header:
-        try:
-            state = int(header["start"])
-        except ValueError as exc:
-            raise MachineFormatError(str(exc)) from None
-        if not 0 <= state < num_states:
-            raise MachineFormatError(f"start state {state} out of range")
-    tape: dict[int, int] = {}
-    head = 0
-    if "tape" in header:
-        codes, sep, head_part = header["tape"].partition("@")
-        if not sep:
-            raise MachineFormatError("tape line needs <codes>@<head>")
-        try:
-            head = int(head_part)
-            cells = [int(c) for c in codes.split(",")] if codes else []
-        except ValueError as exc:
-            raise MachineFormatError(str(exc)) from None
-        if any(not 0 <= sym < num_symbols for sym in cells):
-            raise MachineFormatError("tape symbol outside the alphabet")
-        tape = {i: sym for i, sym in enumerate(cells) if sym}
-    return program, TmConfig(tape, head, state)
+    return program, config
 
 
 def write_machine(program: TmProgram, config: TmConfig, path) -> None:

@@ -267,6 +267,15 @@ def test_duplicate_table_rejected():
         PermTable(1, (0, 0))
 
 
+def test_table_must_permute_its_domain():
+    # distinct entries are not enough: 3 and 9 lie outside 0..3
+    assert not is_bijection([1, 0, 3, 9])
+    assert not is_bijection([1, 0, 3, -2])
+    assert is_bijection([1, 0, 3, 2])
+    with pytest.raises(NotABijectionError):
+        PermTable(2, (1, 0, 3, 9))
+
+
 # ---------------------------------------------------------------------------
 # bit vectors
 # ---------------------------------------------------------------------------
@@ -361,6 +370,16 @@ def test_perm_text_roundtrip():
         "width=2 kind=affine\n1\n2\n",
         "width=4 kind=xorfam\nmask0=3 mask1=1\n",
         "width=2 kind=mystery\n",
+        "width=2 kind=affine\n1\n2\n3\n0\n",  # one row too many
+        "width=2 kind=affine\n1\nzz\n0\n",
+        "width=4 kind=xorfam\nmask0=3 mask1=1 flip=0\nmask0=3 mask1=1 flip=0\n",
+        "width=1 kind=perm\n0 1 0\n1 0\n",
+        "width=99 kind=affine\n",
+        "width=x kind=perm\n",
+        "width=2 kind=perm\n0 1\n1 0\n9 2\n3 3\n",   # input out of range
+        "width=2 kind=perm\n0 1\n1 0\n2 3\n-1 2\n",
+        "width=1 kind=perm\n0 0\n0 1\n",             # input listed twice
+        "width=2 kind=perm\n0 1\n1 0\n2 3\n3 9\n",   # image out of range
     ],
 )
 def test_malformed_map_text_rejected(text):

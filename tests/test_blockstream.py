@@ -51,8 +51,9 @@ def test_schedule_value_out_of_range():
 
 
 def test_map_widths_must_agree():
-    with pytest.raises(ValueError):
-        StreamTransform([_reversal(2), _reversal(3)], Schedule(range(2)))
+    for widths in ((2, 3), (3, 3, 2), ()):
+        with pytest.raises(ValueError):
+            StreamTransform([_reversal(w) for w in widths], Schedule(range(len(widths))))
 
 
 @given(st.data())

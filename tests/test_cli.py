@@ -266,6 +266,13 @@ def test_verify_secrecy_rejects_mixed_widths(tmp_path, capsys, sample):
     assert "family mixes widths [6, 8]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--states", "0"], ["--sample", "0"]])
+def test_verify_secrecy_needs_states_and_samples(flags, capsys):
+    code = main(["verify-secrecy", "--dls", "xorfam", "--width", "4", *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("dynls:")
+
+
 def test_verify_secrecy_width_cap_needs_sample(capsys):
     code = main(["verify-secrecy", "--dls", "xorfam", "--width", "21"])
     assert code == 2
@@ -492,3 +499,49 @@ def test_stream_transform_needs_shape_flags(tmp_path, capsys):
     code = main(stream_args("transform", src, tmp_path / "out", maps="xorfam:1"))
     assert code == 2
     assert "--width" in capsys.readouterr().err
+
+
+def test_stream_maps_must_match_the_block_width(tmp_path, capsys):
+    # run anyway, width-3 maps would write n=4 to the sidecar
+    mapdir = tmp_path / "maps"
+    mapdir.mkdir()
+    write_map(identity_map(3), mapdir / "0.map")
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(24))
+    out = tmp_path / "out"
+    argv = stream_args("transform", src, out, maps=f"file:{mapdir}", width=4, count=1,
+                       sched="periodic:1")
+    assert main(argv) == 2
+    assert "block width 4 does not match the maps' width 3" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+_SWAP_ROWS = ("0 1", "1 0", "2 3", "3 2")  # a width-2 perm .map body
+
+
+@pytest.mark.parametrize(
+    "row, command",
+    [
+        ((2, "9 2"), "stream"),    # input out of range
+        ((3, "-1 2"), "stream"),   # input out of range; list indexing reads it as 3
+        ((3, "3 9"), "secrecy"),   # image out of range
+        ((3, "3 9"), "stream"),
+    ],
+    ids=["input-9", "input-minus-1", "image-9-secrecy", "image-9-stream"],
+)
+def test_perm_map_outside_its_domain_is_a_usage_error(tmp_path, capsys, row, command):
+    rows = list(_SWAP_ROWS)
+    rows[row[0]] = row[1]
+    mapdir = tmp_path / "maps"
+    mapdir.mkdir()
+    (mapdir / "0.map").write_text("width=2 kind=perm\n" + "\n".join(rows) + "\n")
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(4))
+    argv = {
+        "secrecy": ["verify-secrecy", "--dls", f"file:{mapdir}"],
+        "stream": stream_args("transform", src, tmp_path / "out", maps=f"file:{mapdir}",
+                              width=2, count=1, sched="periodic:1"),
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dynls:") and "0..3" in err

@@ -84,10 +84,14 @@ def test_decode_unknown_state():
 
 
 def test_family_width_mismatch_rejected():
-    with pytest.raises(ValueError):
-        DlsDecomposition(
-            4, {0: XorFamily(3, 0, 0, 0)}, Schedule([0]), ByteSource(b"")
-        )
+    for family in (
+        {0: XorFamily(3, 0, 0, 0)},
+        derived_xor_family(6, range(3), seed=1),  # one width, but not 4
+        {0: XorFamily(4, 0, 0, 0), 1: XorFamily(3, 0, 0, 0)},
+        {},
+    ):
+        with pytest.raises(ValueError):
+            DlsDecomposition(4, family, Schedule([0]), ByteSource(b""))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 10))

@@ -275,6 +275,13 @@ def test_machine_text_tape_line():
         "states=2\nalphabet=2\ntape=9@0\n",    # symbol code out of range
         "states=2\nalphabet=2\ntape=1;3@0\n",
         "states=2\nalphabet=2\nwat\n",
+        "states=2\nalphabet=2\nstart=x\n",
+        "states=2\nalphabet=2\nstart=9\n",    # start state out of range
+        "states=2\nalphabet=2\ntape=-1@0\n",
+        "states=2\nalphabet=2\ntape=1,x@0\n",
+        "states=2\nalphabet=2\ntape=1@x\n",
+        "states=x\nalphabet=2\n",
+        "states=2\nalphabet=2\n0 x -> 1 1 R\n",
     ],
 )
 def test_malformed_machine_text_rejected(text):
