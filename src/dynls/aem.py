@@ -487,7 +487,6 @@ _NO_OVERRIDE = MetaCmd(MetaKind.CONNECTIONS, BIT_IN, ())
 
 
 def compile_step(
-    state,
     family_map: InvertibleMap,
     r: BitVec,
     logical_bit: int,
@@ -620,7 +619,7 @@ def run_utm_realization(program: TmProgram, dls, steps: int):
         bit = bit_fn.table[instruction_index(*pair)]
         real = dls.realize(j, bit)
         base = EPOCH_TICKS * j
-        machine.apply(compile_step(pair, dls.map_for(pair), real.random_part, bit, base))
+        machine.apply(compile_step(dls.map_for(pair), real.random_part, bit, base))
         machine.run_until(base + EPOCH_TICKS - 1)
         got = readout_physical(machine.trace, base, dls.width)
         _, decoded_bit = dls.decode(got, pair)

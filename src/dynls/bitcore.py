@@ -245,7 +245,8 @@ class InvertibleMap:
         )
 
     def to_table_array(self) -> np.ndarray:
-        """Full permutation table as an int64 array (vectorized paths)."""
+        """Full permutation table as a fresh int64 array (vectorized paths),
+        which the caller may change in place."""
         return np.fromiter(
             (self.apply_int(x) for x in range(1 << self.width)),
             dtype=np.int64,
@@ -356,8 +357,6 @@ class XorFamily(InvertibleMap):
 
     def __post_init__(self) -> None:
         _check_width(self.width)
-        if self.width < 2:
-            raise ValueError("XorFamily needs width >= 2")
         half = 1 << (self.width - 1)
         if not (0 <= self.mask0 < half and 0 <= self.mask1 < half):
             raise ValueError("masks must fit width-1 coordinates")
@@ -528,5 +527,8 @@ def write_map(m: InvertibleMap, path) -> None:
 
 
 def read_map(path) -> InvertibleMap:
-    with open(path, "r", encoding="ascii") as fh:
-        return map_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return map_from_text(fh.read())
+    except ValueError as exc:  # a format error, or a byte outside ASCII
+        raise MapFormatError(f"{path}: {exc}") from None

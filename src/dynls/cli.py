@@ -178,12 +178,7 @@ def cmd_run_utm(args) -> int:
         family = family_for_states(
             kind, spec_arg, UTM_WIDTH, sorted(set(pairs)), descriptor.get("seed", 0)
         )
-        dls = DlsDecomposition(
-            width=UTM_WIDTH,
-            family=family,
-            scheduler=Schedule(pairs),
-            source=source,
-        )
+        dls = DlsDecomposition(family, Schedule(pairs), source)
         trace, report = run_utm_realization(program, dls, args.steps)
     else:
         # the machine halts before consuming a single instruction
@@ -212,19 +207,14 @@ def cmd_verify_secrecy(args) -> int:
     source, descriptor = parse_source(args.rng)
 
     if kind == "file":
-        base = Path(spec_arg)
-        paths = sorted(base.glob("*.map"))
-        if not paths:
-            raise UsageError(f"no .map files in {base}")
-        family = {p.stem: read_map(p) for p in paths}
+        states = [p.stem for p in sorted(Path(spec_arg).glob("*.map"))]
+        if not states:
+            raise UsageError(f"no .map files in {Path(spec_arg)}")
+    elif args.width is None:
+        raise UsageError("--width is required for derived families")
     else:
-        if args.width is None:
-            raise UsageError("--width is required for derived families")
-        if args.width < 2:
-            raise UsageError(f"--width must be >= 2, got {args.width}")
-        family = family_for_states(
-            kind, spec_arg, args.width, list(range(args.states)), descriptor.get("seed", 0)
-        )
+        states = list(range(args.states))
+    family = family_for_states(kind, spec_arg, args.width, states, descriptor.get("seed", 0))
 
     if args.sample is not None:
         seed = descriptor.get("seed")
@@ -308,8 +298,6 @@ def cmd_stream(args) -> int:
         width, count, sched_spec = args.width, args.count, args.sched
     else:
         width, count, sched_spec = _read_stream_meta(Path(args.input + ".meta"))
-    if width < 2:
-        raise UsageError(f"block width must be >= 2, got {width}")
     if count < 1:
         raise UsageError(f"map count must be >= 1, got {count}")
 

@@ -25,7 +25,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bitcore import BitVec, BoolFn, InvertibleMap, XorFamily, random_affine_invertible
+from .bitcore import BitVec, BoolFn, InvertibleMap, XorFamily, _check_width, random_affine_invertible
 
 
 def __getattr__(name: str):
@@ -80,34 +80,34 @@ class Realization:
 
 
 def _family_width(maps: Iterable[InvertibleMap]) -> int:
-    """The one width every map of a non-empty family has."""
+    """The one width every map of a non-empty family has, at least 2: the
+    hidden bit plus at least one observable coordinate."""
     widths = {m.width for m in maps}
     if not widths:
         raise ValueError("map family is empty")
     if len(widths) != 1:
         raise ValueError(f"family mixes widths {sorted(widths)}")
     (width,) = widths
+    if width < 2:
+        raise ValueError(f"family width must be at least 2 (one observable bit), got {width}")
     return width
 
 
 @dataclass
 class DlsDecomposition:
-    """Width-n physical layer: a map family, a schedule, and a bit source."""
+    """Width-n physical layer: a map family, a schedule, and a bit source;
+    n is the family's width."""
 
-    width: int
     family: Mapping[Any, InvertibleMap]
     scheduler: Schedule
     source: Any  # anything with next_bits(k) -> BitVec
+    width: int = field(init=False)
     _inverses: dict[Any, InvertibleMap] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
-        if self.width < 2:
-            raise ValueError("width must be at least 2 (one observable bit)")
-        width = _family_width(self.family.values())
-        if width != self.width:
-            raise ValueError(f"family has width {width}, expected {self.width}")
+        self.width = _family_width(self.family.values())
 
     def map_for(self, state: Any) -> InvertibleMap:
         try:
@@ -239,22 +239,22 @@ MAX_EXACT_WIDTH = 20
 SAMPLE_CHUNK = 1 << 20  # random parts a sampled histogram draws at a time
 
 
-def secrecy_distribution(m: InvertibleMap, b: int) -> np.ndarray:
-    """Observable histogram over the full random space with the bit fixed.
+def secrecy_distribution(m: InvertibleMap) -> tuple[np.ndarray, np.ndarray]:
+    """Observable histograms over the full random space, one per bit.
 
-    Entry v counts the random parts r for which encoding b lands the
-    observable part on v.  Counts are exact integers.
+    Entry v of histogram b counts the random parts r for which encoding b
+    lands the observable part on v.  Counts are exact integers.  The map's
+    table is built once and masked in place.
     """
-    if b not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {b}")
     if m.width > MAX_EXACT_WIDTH:
         raise ValueError(
             f"width {m.width} too large for exhaustive enumeration "
             f"(cap {MAX_EXACT_WIDTH}); use the sampled mode"
         )
     half = 1 << (m.width - 1)
-    obs = m.to_table_array()[b * half : (b + 1) * half] & (half - 1)
-    return np.bincount(obs, minlength=half).astype(np.int64)
+    obs = m.to_table_array()
+    obs &= half - 1
+    return np.bincount(obs[:half], minlength=half), np.bincount(obs[half:], minlength=half)
 
 
 @dataclass(frozen=True)
@@ -278,21 +278,16 @@ class SecrecyReport:
         return "\n".join(lines)
 
 
-def verify_perfect_secrecy(
-    family: Mapping[Any, InvertibleMap] | DlsDecomposition,
-) -> SecrecyReport:
+def verify_perfect_secrecy(family: Mapping[Any, InvertibleMap]) -> SecrecyReport:
     """Exact secrecy check: all (state, bit) observable histograms must be
     identical, measured by total variation against the first one.  Each
-    is compared as it is made, so only two are held at a time."""
-    if isinstance(family, DlsDecomposition):
-        family = family.family
+    map's pair is compared as it is made, so at most three are held."""
     width = _family_width(family.values())
     half = 1 << (width - 1)
     ref = None
     tvs = {}
     for state, m in family.items():
-        for b in (0, 1):
-            hist = secrecy_distribution(m, b)
+        for b, hist in enumerate(secrecy_distribution(m)):
             ref = hist if ref is None else ref
             tvs[state, b] = Fraction(int(np.abs(hist - ref).sum()), 2 * half)
     max_tv = max(tvs.values())
@@ -399,6 +394,7 @@ def derived_xor_family(
     width: int, states: Sequence[Any], seed: int | str
 ) -> dict[Any, XorFamily]:
     """One mask-pair map per state, derived deterministically from the seed."""
+    _check_width(width)
     fam = {}
     for state in states:
         rnd = random.Random(f"xorfam:{seed}:{state!r}")

@@ -228,11 +228,13 @@ def machine_from_text(text: str) -> tuple[TmProgram, TmConfig]:
     tape with the head on cell 0 in state 0.
 
     The parser checks tokens, integers and the lines present; the program
-    and its start configuration check their own values."""
+    and its start configuration check their own values.  An error in a
+    rule names its line."""
     header: dict[str, str] = {}
     rules: dict[tuple[int, int], Rule] = {}
+    lineno = 0  # the line being read; 0 again for the checks after the loop
     try:
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -248,6 +250,7 @@ def machine_from_text(text: str) -> tuple[TmProgram, TmConfig]:
             if (q, a) in rules:
                 raise ValueError(f"duplicate rule for pair ({q},{a})")
             rules[(q, a)] = (q2, a2, tokens[5])
+        lineno = 0
         program = TmProgram(int(header["states"]), int(header["alphabet"]), rules)
         codes, sep, head = header.get("tape", "@0").partition("@")
         if not sep:
@@ -258,7 +261,7 @@ def machine_from_text(text: str) -> tuple[TmProgram, TmConfig]:
     except KeyError as exc:
         raise MachineFormatError(f"missing {exc} header line") from None
     except ValueError as exc:
-        raise MachineFormatError(str(exc)) from None
+        raise MachineFormatError(f"line {lineno}: {exc}" if lineno else str(exc)) from None
     return program, config
 
 
@@ -268,5 +271,8 @@ def write_machine(program: TmProgram, config: TmConfig, path) -> None:
 
 
 def read_machine(path) -> tuple[TmProgram, TmConfig]:
-    with open(path, "r", encoding="ascii") as fh:
-        return machine_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return machine_from_text(fh.read())
+    except ValueError as exc:  # a format error, or a byte outside ASCII
+        raise MachineFormatError(f"{path}: {exc}") from None

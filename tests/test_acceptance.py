@@ -95,7 +95,6 @@ def test_criterion_3_level_set_invariance():
     points = [BitVec(5, v) for v in range(32)]
     states = tuple(sorted(reference_write_high_set()))
     dls = DlsDecomposition(
-        width=15,
         family=derived_xor_family(15, states, seed=22),
         scheduler=Schedule(states),
         source=SeededSource(22),
@@ -149,7 +148,6 @@ def test_criterion_6_aem_dls_equivalence():
             flip=width & 1,
         )
         dls = DlsDecomposition(
-            width=width,
             family={"s": fam},
             scheduler=Schedule(("s",)),
             source=SeededSource(0),
@@ -160,7 +158,7 @@ def test_criterion_6_aem_dls_equivalence():
             for b in (0, 1):
                 r = BitVec(width - 1, r_value)
                 real = realize_step(dls, epoch, r, b)
-                machine.apply(compile_step("s", fam, r, b, base_tick=3 * epoch))
+                machine.apply(compile_step(fam, r, b, base_tick=3 * epoch))
                 machine.run_until(3 * epoch + 2)
                 got = readout_physical(machine.trace, 3 * epoch, width)
                 assert got == real.physical
@@ -169,7 +167,6 @@ def test_criterion_6_aem_dls_equivalence():
     width = 15
     fam = XorFamily(width, mask0=0x1B57, mask1=0x3E02, flip=1)
     dls = DlsDecomposition(
-        width=width,
         family={"s": fam},
         scheduler=Schedule(("s",)),
         source=SeededSource(0),
@@ -180,7 +177,7 @@ def test_criterion_6_aem_dls_equivalence():
         r = BitVec(width - 1, rng.getrandbits(width - 1))
         b = rng.getrandbits(1)
         real = realize_step(dls, epoch, r, b)
-        machine.apply(compile_step("s", fam, r, b, base_tick=3 * epoch))
+        machine.apply(compile_step(fam, r, b, base_tick=3 * epoch))
         machine.run_until(3 * epoch + 2)
         assert readout_physical(machine.trace, 3 * epoch, width) == real.physical
     elapsed_under(t0, 30, "equivalence runs")
@@ -201,7 +198,6 @@ def test_criterion_7_self_modification_regression():
     sched = Schedule(instruction_trace(program, config, 1000))
     states = sorted({sched.state_at(j) for j in range(len(sched))})
     dls = DlsDecomposition(
-        width=15,
         family=derived_xor_family(15, states, seed=2026),
         scheduler=sched,
         source=SeededSource(2026),

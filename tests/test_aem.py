@@ -535,7 +535,7 @@ def fired_at(machine, tick):
 
 def test_identity_step_all_zero_input():
     m = Machine()
-    m.apply(compile_step("s", identity_map(15), BitVec(14, 0), 0, base_tick=0))
+    m.apply(compile_step(identity_map(15), BitVec(14, 0), 0, base_tick=0))
     m.run_until(2)
     assert readout_physical(m.trace, 0, 15) == BitVec(15, 0)
     names = element_names(15)
@@ -545,7 +545,7 @@ def test_identity_step_all_zero_input():
 def test_identity_step_copies_set_bits():
     r = BitVec.from_bits([1 if i in (0, 13) else 0 for i in range(14)])
     m = Machine()
-    m.apply(compile_step("s", identity_map(15), r, 0, base_tick=0))
+    m.apply(compile_step(identity_map(15), r, 0, base_tick=0))
     m.run_until(2)
     assert fired_at(m, 2) == {"d0", "d13"}
     assert readout_physical(m.trace, 0, 15) == r.concat(BitVec(1, 0))
@@ -553,7 +553,7 @@ def test_identity_step_copies_set_bits():
 
 def test_identity_step_carries_logical_bit():
     m = Machine()
-    m.apply(compile_step("s", identity_map(4), BitVec(3, 0b101), 1))
+    m.apply(compile_step(identity_map(4), BitVec(3, 0b101), 1))
     m.run_until(2)
     assert fired_at(m, 2) == {"d0", "d2", "bit_out"}
     assert readout_physical(m.trace, 0, 4) == BitVec(4, 0b1101)
@@ -561,7 +561,7 @@ def test_identity_step_carries_logical_bit():
 
 def test_nothing_fires_between_inject_and_readout():
     m = Machine()
-    m.apply(compile_step("s", identity_map(8), BitVec(7, 0x55), 1))
+    m.apply(compile_step(identity_map(8), BitVec(7, 0x55), 1))
     m.run_until(2)
     assert fired_at(m, 1) == set()
 
@@ -574,7 +574,7 @@ def test_xor_family_step_exhaustive_width4(flip):
     for r_value in range(8):
         for b in (0, 1):
             r = BitVec(3, r_value)
-            m.apply(compile_step("s", fam, r, b, base_tick=3 * epoch))
+            m.apply(compile_step(fam, r, b, base_tick=3 * epoch))
             m.run_until(3 * epoch + 2)
             want = fam.apply(r.concat(BitVec(1, b)))
             assert readout_physical(m.trace, 3 * epoch, 4) == want
@@ -586,7 +586,6 @@ def test_xor_family_step_matches_engine_width15():
 
     fam = XorFamily(15, mask0=0x2A53, mask1=0x1C07, flip=1)
     dls = DlsDecomposition(
-        width=15,
         family={"s": fam},
         scheduler=Schedule(("s",)),
         source=SeededSource(0),
@@ -597,7 +596,7 @@ def test_xor_family_step_matches_engine_width15():
         r = BitVec(14, rng.getrandbits(14))
         b = rng.getrandbits(1)
         real = realize_step(dls, epoch, r, b)
-        m.apply(compile_step("s", fam, r, b, base_tick=3 * epoch))
+        m.apply(compile_step(fam, r, b, base_tick=3 * epoch))
         m.run_until(3 * epoch + 2)
         assert readout_physical(m.trace, 3 * epoch, 15) == real.physical
 
@@ -609,7 +608,7 @@ def test_affine_step_matches_direct_apply():
     for r_value in range(0, 32, 3):
         for b in (0, 1):
             r = BitVec(5, r_value)
-            m.apply(compile_step("q", fam, r, b, base_tick=3 * epoch))
+            m.apply(compile_step(fam, r, b, base_tick=3 * epoch))
             m.run_until(3 * epoch + 2)
             want = fam.apply(r.concat(BitVec(1, b)))
             assert readout_physical(m.trace, 3 * epoch, 6) == want
@@ -618,13 +617,13 @@ def test_affine_step_matches_direct_apply():
 
 def test_compile_step_validates_input():
     with pytest.raises(ValueError):
-        compile_step("s", identity_map(4), BitVec(2, 0), 0)
+        compile_step(identity_map(4), BitVec(2, 0), 0)
     with pytest.raises(ValueError):
-        compile_step("s", identity_map(4), BitVec(3, 0), 2)
+        compile_step(identity_map(4), BitVec(3, 0), 2)
 
 
 def test_compiled_program_survives_text_round_trip():
-    prog = compile_step("s", XorFamily(5, 0b1010, 0b0110, 1), BitVec(4, 9), 1)
+    prog = compile_step(XorFamily(5, 0b1010, 0b0110, 1), BitVec(4, 9), 1)
     assert parse(print_program(prog)) == prog
 
 
@@ -635,7 +634,6 @@ def test_compiled_program_survives_text_round_trip():
 def dls_for_run(sched, width, seed):
     states = sorted({sched.state_at(j) for j in range(len(sched))})
     return DlsDecomposition(
-        width=width,
         family=derived_xor_family(width, states, seed),
         scheduler=sched,
         source=SeededSource(seed),

@@ -51,7 +51,7 @@ def test_schedule_value_out_of_range():
 
 
 def test_map_widths_must_agree():
-    for widths in ((2, 3), (3, 3, 2), ()):
+    for widths in ((2, 3), (3, 3, 2), (), (1,)):
         with pytest.raises(ValueError):
             StreamTransform([_reversal(w) for w in widths], Schedule(range(len(widths))))
 

@@ -159,6 +159,22 @@ def test_run_utm_machine_without_a_start_rule(tmp_path):
     assert "violations=0" in report
     assert (out / "trace.jsonl").read_bytes() == b""
 
+def test_run_utm_file_family_runs_at_its_own_width(counter_tm, tmp_path, capsys):
+    program, config = tm.read_machine(counter_tm)
+    mapdir = tmp_path / "maps"
+    mapdir.mkdir()
+    for q, a in set(tm.instruction_trace(program, config, 40)):
+        write_map(XorFamily(6, 5 * q + a, 3, a & 1), mapdir / f"q{q}a{a}.map")
+    out = tmp_path / "o"
+    code = main(["run-utm", "--tm", counter_tm, "--steps", "40", "--dls", f"file:{mapdir}",
+                 "--rng", "seeded:1", "--out", str(out)])
+    assert code == 0
+    assert "violations=0" in capsys.readouterr().out
+    fired = {name for line in (out / "trace.jsonl").read_text().splitlines()
+             for name in json.loads(line)["fired"]}
+    assert "d4" in fired and "d5" not in fired  # five observable outputs, d0..d4
+
+
 def test_run_utm_missing_tm_file(tmp_path, capsys):
     code = main(
         [
@@ -264,6 +280,57 @@ def test_verify_secrecy_rejects_mixed_widths(tmp_path, capsys, sample):
     code = main(["verify-secrecy", "--dls", f"file:{mapdir}", *sample])
     assert code == 2
     assert "family mixes widths [6, 8]" in capsys.readouterr().err
+
+
+def _width_one_dir(tmp_path):
+    mapdir = tmp_path / "maps"
+    mapdir.mkdir()
+    (mapdir / "bit.map").write_text("width=1 kind=perm\n0 1\n1 0\n")
+    return f"file:{mapdir}"
+
+
+@pytest.mark.parametrize(
+    "argv, width",
+    [
+        (["verify-secrecy", "--dls", "FILE"], 1),
+        (["verify-secrecy", "--dls", "FILE", "--sample", "100"], 1),
+        (["verify-secrecy", "--dls", "affine:3", "--width", "1"], 1),
+        (["verify-secrecy", "--dls", "xorfam", "--width", "0"], 0),
+        (["stream", "transform", "--in", "IN", "--out", "OUT", "--maps", "xorfam",
+          "--width", "1", "--count", "2", "--sched", "periodic:2"], 1),
+    ],
+    ids=["file-exact", "file-sampled", "affine", "xorfam-0", "stream"],
+)
+def test_families_need_an_observable_coordinate(tmp_path, capsys, argv, width):
+    # one width-1 map is the hidden bit alone; exact secrecy used to pass it
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(4))
+    spots = {"FILE": _width_one_dir(tmp_path), "IN": str(src), "OUT": str(tmp_path / "out")}
+    assert main([spots.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dynls:") and err.count("\n") == 1, err
+    assert "width" in err and f"got {width}" in err, err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_bad_map_file_is_named(tmp_path, capsys):
+    mapdir = tmp_path / "maps"
+    mapdir.mkdir()
+    for state in range(12):
+        write_map(XorFamily(4, state % 8, 2, 1), mapdir / f"{state}.map")
+    (mapdir / "7.map").write_text("width=4 kind=xorfam\nmask0=5 mask1=2\n")
+    assert main(["verify-secrecy", "--dls", f"file:{mapdir}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"dynls: {mapdir / '7.map'}: missing 'flip' field\n"
+
+
+def test_bad_machine_rule_names_file_and_line(tmp_path, capsys):
+    tm = tmp_path / "bad.tm"
+    tm.write_text("states=2\nalphabet=2\n0 0 -> 1 1 R\n0 x -> 1 1 R\n")
+    assert main(["run-utm", "--tm", str(tm), "--steps", "5", "--rng", "seeded:1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"dynls: {tm}: line 4: invalid literal for int() with base 10: 'x'\n"
 
 
 @pytest.mark.parametrize("flags", [["--states", "0"], ["--sample", "0"]])

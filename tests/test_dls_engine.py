@@ -59,7 +59,7 @@ from dynls.tm import reference_write_high_indicator
 
 def _tiny_dls(source):
     fam = {("s", 0): XorFamily(3, mask0=1, mask1=2, flip=1)}
-    return DlsDecomposition(3, fam, Schedule([("s", 0)]), source)
+    return DlsDecomposition(fam, Schedule([("s", 0)]), source)
 
 
 def test_realize_hand_example():
@@ -85,13 +85,12 @@ def test_decode_unknown_state():
 
 def test_family_width_mismatch_rejected():
     for family in (
-        {0: XorFamily(3, 0, 0, 0)},
-        derived_xor_family(6, range(3), seed=1),  # one width, but not 4
         {0: XorFamily(4, 0, 0, 0), 1: XorFamily(3, 0, 0, 0)},
         {},
+        {0: XorFamily(1, 0, 0, 1)},  # the hidden bit alone: nothing observable
     ):
         with pytest.raises(ValueError):
-            DlsDecomposition(4, family, Schedule([0]), ByteSource(b""))
+            DlsDecomposition(family, Schedule([0]), ByteSource(b""))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 10))
@@ -99,7 +98,8 @@ def test_family_width_mismatch_rejected():
 def test_realize_decode_roundtrip(seed, width):
     states = list(range(5))
     fam = derived_xor_family(width, states, seed)
-    dls = DlsDecomposition(width, fam, Schedule(states), SeededSource(seed))
+    dls = DlsDecomposition(fam, Schedule(states), SeededSource(seed))
+    assert dls.width == width  # taken from the maps
     for j in range(20):
         bit = (seed >> (j % 31)) & 1
         real = dls.realize(j, bit)
@@ -118,9 +118,7 @@ def test_schedulers_cycle():
 
 
 def test_realize_step_identity_family_sets_top_coordinate():
-    dls = DlsDecomposition(
-        5, {0: identity_map(5)}, Schedule([0]), ByteSource(b"")
-    )
+    dls = DlsDecomposition({0: identity_map(5)}, Schedule([0]), ByteSource(b""))
     real = realize_step(dls, 0, BitVec(4, 0), 1)
     assert real.physical == BitVec(5, 0b10000)
     assert real.observable == BitVec(4, 0)
@@ -128,17 +126,13 @@ def test_realize_step_identity_family_sets_top_coordinate():
 
 def test_realize_step_xorfam_width4_oracle():
     # masks 101/011 with flip 1, r=101, b=0: low bits cancel, top bit flips
-    dls = DlsDecomposition(
-        4, {0: XorFamily(4, 0b101, 0b011, 1)}, Schedule([0]), ByteSource(b"")
-    )
+    dls = DlsDecomposition({0: XorFamily(4, 0b101, 0b011, 1)}, Schedule([0]), ByteSource(b""))
     real = realize_step(dls, 0, BitVec(3, 0b101), 0)
     assert real.physical == BitVec(4, 0b1000)
 
 
 def test_identity_decode_is_split():
-    dls = DlsDecomposition(
-        6, {0: identity_map(6)}, Schedule([0]), ByteSource(b"")
-    )
+    dls = DlsDecomposition({0: identity_map(6)}, Schedule([0]), ByteSource(b""))
     for y in range(64):
         vec = BitVec(6, y)
         low, top = vec.split(5)
@@ -147,14 +141,12 @@ def test_identity_decode_is_split():
 
 def test_affine_decode_roundtrip_exhaustive_n6():
     fam = derived_affine_family(6, list(range(3)), seed=12)
-    dls = DlsDecomposition(
-        6, fam, Schedule(list(range(3))), SeededSource(0)
-    )
+    dls = DlsDecomposition(fam, Schedule(list(range(3))), SeededSource(0))
     for s in range(3):
         for r in range(32):
             for b in (0, 1):
                 real = realize_step(
-                    DlsDecomposition(6, fam, Schedule([s]), SeededSource(0)),
+                    DlsDecomposition(fam, Schedule([s]), SeededSource(0)),
                     0, BitVec(5, r), b,
                 )
                 assert dls.decode(real.physical, s) == (BitVec(5, r), b)
@@ -165,7 +157,7 @@ def test_wrong_state_decode_flips_bit_when_flips_differ():
         "a": XorFamily(4, 0b001, 0b110, 0),
         "b": XorFamily(4, 0b011, 0b100, 1),
     }
-    dls = DlsDecomposition(4, fam, Schedule(["a"]), ByteSource(b""))
+    dls = DlsDecomposition(fam, Schedule(["a"]), ByteSource(b""))
     for r in range(8):
         for b in (0, 1):
             real = realize_step(dls, 0, BitVec(3, r), b)
@@ -196,7 +188,7 @@ def _fixture_dls(width, seed, source):
     points = [BitVec(5, x) for x in range(32)]
     fam = derived_xor_family(width, [p.value for p in points], seed)
     sched = Schedule([p.value for p in points])
-    return DlsDecomposition(width, fam, sched, source), points
+    return DlsDecomposition(fam, sched, source), points
 
 
 def test_invariance_clean_run():
@@ -264,8 +256,8 @@ def test_invariance_report_text():
 
 def test_swap_map_histograms_hand_values():
     swap = swap_coordinates(3, 0, 2)
-    assert secrecy_distribution(swap, 0).tolist() == [2, 0, 2, 0]
-    assert secrecy_distribution(swap, 1).tolist() == [0, 2, 0, 2]
+    assert secrecy_distribution(swap)[0].tolist() == [2, 0, 2, 0]
+    assert secrecy_distribution(swap)[1].tolist() == [0, 2, 0, 2]
 
 
 def test_swap_map_fails_secrecy():
@@ -291,7 +283,7 @@ def test_xor_family_passes_exact_secrecy():
     assert report.max_tv == 0
     for m in fam.values():
         for b in (0, 1):
-            assert secrecy_distribution(m, b).tolist() == [1] * 8
+            assert secrecy_distribution(m)[b].tolist() == [1] * 8
 
 
 def test_secrecy_report_text_format():
@@ -314,6 +306,8 @@ def test_secrecy_checks_need_one_width(check):
     mixed = {**derived_xor_family(6, ["a"], seed=1), **derived_xor_family(8, ["b"], seed=1)}
     with pytest.raises(ValueError, match=r"mixes widths \[6, 8\]"):
         check(mixed)
+    with pytest.raises(ValueError, match="at least 2.*got 1"):
+        check({"bit": PermTable(1, (1, 0))})
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -322,11 +316,11 @@ def test_every_xor_family_member_is_exactly_uniform(seed):
     fam = derived_xor_family(6, list(range(4)), seed)
     for m in fam.values():
         for b in (0, 1):
-            assert np.all(secrecy_distribution(m, b) == 1)
+            assert np.all(secrecy_distribution(m)[b] == 1)
 
 
 def test_histogram_counts_are_integers_summing_to_slice():
-    dist = secrecy_distribution(swap_coordinates(4, 1, 3), 0)
+    dist = secrecy_distribution(swap_coordinates(4, 1, 3))[0]
     assert dist.dtype == np.int64
     assert dist.sum() == 8
 
@@ -339,7 +333,7 @@ def test_single_state_family_is_bit_independent():
 
 def test_exact_mode_width_capped():
     with pytest.raises(ValueError, match="sampled"):
-        secrecy_distribution(XorFamily(21, 0, 0, 0), 0)
+        secrecy_distribution(XorFamily(21, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,20 @@ file holds:
 
 The edits are single characters and single lines, so a mutated width or
 count grows by at most three digits and every run stays small.
+
+The last cases take a good input and a random source that dies: a local
+HTTP entropy endpoint that serves a few bodies and then only 503s.  The
+run exits 3 with one ``dynls: source failure`` line and writes nothing.
 """
 
 import io
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +132,72 @@ def test_mutated_stream_sidecar(text):
         (d / "in.bits.meta").write_bytes(text.encode())
         out = d / "back"
         _check_run(_stream_argv("recover", d / "in.bits", out, "xorfam:1"), out)
+
+
+# ---------------------------------------------------------------------------
+# a random source that dies
+
+
+@pytest.fixture
+def dying_endpoint():
+    """``make(good)`` starts a local endpoint that serves ``good`` two-byte
+    bodies, then 503 to every request; it returns (url, hit counter)."""
+    servers = []
+
+    def make(good):
+        hits = [0]
+        lock = threading.Lock()
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                with lock:
+                    hits[0] += 1
+                    alive = hits[0] <= good
+                body = b"\xa5\x3c" if alive else b""
+                self.send_response(200 if alive else 503)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}/raw", hits
+
+    yield make
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _check_source_failure(argv, out: Path) -> None:
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code == 3, (code, err)
+    assert err.startswith("dynls: source failure") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())
+
+
+def test_qrng_endpoint_dies_mid_run(dying_endpoint, tmp_path):
+    # four good bodies carry 64 bits, enough for four of the 200 steps
+    url, hits = dying_endpoint(4)
+    tm = tmp_path / "m.tm"
+    tm.write_text(TM_TEXT)
+    out = tmp_path / "utm"
+    _check_source_failure(["run-utm", "--tm", str(tm), "--steps", "200",
+                           "--rng", f"qrng:{url}", "--out", str(out)], out)
+    assert hits[0] == 4 + 3  # the good bodies, then the source's three tries
+
+
+def test_qrng_endpoint_dead_before_sampling(dying_endpoint, tmp_path):
+    url, hits = dying_endpoint(0)
+    out = tmp_path / "secrecy"
+    _check_source_failure(["verify-secrecy", "--dls", "xorfam", "--width", "4",
+                           "--sample", "100", "--rng", f"qrng:{url}", "--out", str(out)], out)
+    assert hits[0] == 3

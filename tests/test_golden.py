@@ -162,5 +162,5 @@ COMPILE_STEP = {
 @pytest.mark.parametrize("case", sorted(COMPILE_STEP))
 def test_compile_step_program_digests(case):
     make_map, r, bit, base, digest = COMPILE_STEP[case]
-    program = compile_step("s", make_map(), BitVec(14, r), bit, base)
+    program = compile_step(make_map(), BitVec(14, r), bit, base)
     assert hashlib.sha256(print_program(program).encode()).hexdigest() == digest
