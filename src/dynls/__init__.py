@@ -19,7 +19,6 @@ from dynls.bitcore import (
     NotABijectionError,
     PermTable,
     XorFamily,
-    identity_map,
     is_bijection,
     level_set,
     random_affine_invertible,
@@ -89,7 +88,6 @@ __all__ = [
     "derived_affine_family",
     "derived_xor_family",
     "endless_counter",
-    "identity_map",
     "is_bijection",
     "level_set",
     "parse",

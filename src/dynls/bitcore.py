@@ -5,10 +5,11 @@ its little-endian integer encoding, and every truth table / permutation table
 is indexed by that encoding.  Widths are capped at 24 so that full-table
 expansion and exhaustive checks stay within memory and time budgets.
 
-Three interchangeable representations of a bijection on {0,1}^n are provided:
+Three interchangeable representations of a bijection on {0,1}^n are provided,
+each expanding to the common form, its full table as an int64 array
+(:meth:`InvertibleMap.to_table_array`):
 
-* :class:`PermTable` -- explicit permutation table; the normalization target
-  (every representation can expand to it for equality testing).
+* :class:`PermTable` -- explicit permutation table.
 * :class:`Affine` -- ``x -> A.x ^ c`` with ``A`` invertible over GF(2).
 * :class:`XorFamily` -- ``(x, b) -> (x ^ mask_b, b ^ flip)`` where ``b`` is
   coordinate ``n-1`` and the masks cover the remaining ``n-1`` coordinates.
@@ -68,10 +69,6 @@ class BitVec:
 
     def bits(self) -> tuple[int, ...]:
         return tuple((self.value >> i) & 1 for i in range(self.width))
-
-    def concat(self, other: "BitVec") -> "BitVec":
-        """Self occupies the low coordinates, ``other`` the high ones."""
-        return BitVec(self.width + other.width, self.value | (other.value << self.width))
 
     def split(self, k: int) -> tuple["BitVec", "BitVec"]:
         """Split into (coordinates 0..k-1, coordinates k..width-1)."""
@@ -197,21 +194,6 @@ def gf2_inverse_rows(rows: Sequence[int], width: int) -> tuple[int, ...] | None:
     return tuple((aug[i] >> width) & mask for i in range(width))
 
 
-def gf2_matmul_rows(r1: Sequence[int], r2: Sequence[int]) -> tuple[int, ...]:
-    """Row masks of the product: (r1 as matrix) . (r2 as matrix)."""
-    out = []
-    for row in r1:
-        acc = 0
-        j = 0
-        while row:
-            if row & 1:
-                acc ^= r2[j]
-            row >>= 1
-            j += 1
-        out.append(acc)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Invertible maps
 # ---------------------------------------------------------------------------
@@ -233,17 +215,6 @@ class InvertibleMap:
             raise ValueError(f"input width {x.width} != map width {self.width}")
         return BitVec(self.width, self.apply_int(x.value))
 
-    def compose(self, other: "InvertibleMap") -> "InvertibleMap":
-        """The map x -> self(other(x))."""
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        size = 1 << self.width
-        return PermTable(
-            self.width,
-            tuple(self.apply_int(other.apply_int(x)) for x in range(size)),
-            _trusted=True,
-        )
-
     def to_table_array(self) -> np.ndarray:
         """Full permutation table as a fresh int64 array (vectorized paths),
         which the caller may change in place."""
@@ -256,9 +227,6 @@ class InvertibleMap:
     def apply_points(self, x: np.ndarray) -> np.ndarray:
         """Images of an int64 array of points (vectorized paths)."""
         return self.to_table_array()[x]
-
-    def to_perm_table(self) -> "PermTable":
-        return PermTable(self.width, tuple(int(v) for v in self.to_table_array()), _trusted=True)
 
 
 @dataclass(frozen=True)
@@ -285,17 +253,6 @@ class PermTable(InvertibleMap):
         for x, y in enumerate(self.table):
             inv[y] = x
         return PermTable(self.width, tuple(inv), _trusted=True)
-
-    def compose(self, other: InvertibleMap) -> "PermTable":
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        if isinstance(other, PermTable):
-            return PermTable(
-                self.width,
-                tuple(self.table[y] for y in other.table),
-                _trusted=True,
-            )
-        return super().compose(other)  # type: ignore[return-value]
 
     def to_table_array(self) -> np.ndarray:
         return np.array(self.table, dtype=np.int64)
@@ -330,14 +287,6 @@ class Affine(InvertibleMap):
         inv = gf2_inverse_rows(self.rows, self.width)
         assert inv is not None  # construction guarantees invertibility
         return Affine(self.width, inv, gf2_apply_rows(inv, self.offset))
-
-    def compose(self, other: InvertibleMap) -> InvertibleMap:
-        if isinstance(other, Affine):
-            if self.width != other.width:
-                raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-            rows = gf2_matmul_rows(self.rows, other.rows)
-            return Affine(self.width, rows, gf2_apply_rows(self.rows, other.offset) ^ self.offset)
-        return super().compose(other)
 
     def to_table_array(self) -> np.ndarray:
         return _affine_table(self)
@@ -375,19 +324,6 @@ class XorFamily(InvertibleMap):
             return XorFamily(self.width, self.mask1, self.mask0, self.flip)
         return self
 
-    def compose(self, other: InvertibleMap) -> InvertibleMap:
-        if isinstance(other, XorFamily):
-            if self.width != other.width:
-                raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-            outer = (self.mask0, self.mask1)
-            return XorFamily(
-                self.width,
-                other.mask0 ^ outer[other.flip],
-                other.mask1 ^ outer[1 ^ other.flip],
-                self.flip ^ other.flip,
-            )
-        return super().compose(other)
-
     def to_table_array(self) -> np.ndarray:
         # (x, b) -> (x ^ mask0 ^ b.(mask0 ^ mask1), b ^ flip) is affine
         return _affine_table(self)
@@ -423,10 +359,6 @@ def _xor_span(base: int, columns: Sequence[int]) -> np.ndarray:
         low = 1 << i
         np.bitwise_xor(table[:low], column, out=table[low : 2 * low])
     return table
-
-
-def identity_map(width: int) -> Affine:
-    return Affine.identity(width)
 
 
 def permute_coordinates(width: int, source_of: Sequence[int]) -> PermTable:

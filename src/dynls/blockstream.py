@@ -28,57 +28,51 @@ CHUNK_GROUPS = 1 << 13
 
 
 class BitStream:
-    """Immutable bit sequence backed by a uint8 array of 0/1 values."""
+    """Immutable bit sequence, packed: bit i is bit i % 8 of byte i // 8 of
+    ``data``.  It keeps the first ``nbits`` bits of the bytes it is given,
+    all of them by default, and zeroes the padding bits of the last byte."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("data", "nbits")
 
-    def __init__(self, bits: np.ndarray) -> None:
-        arr = np.ascontiguousarray(bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("bit streams are one-dimensional")
-        if arr.size and arr.max() > 1:
-            raise ValueError("stream entries must be 0 or 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "bits", arr)
+    def __init__(self, data: bytes, nbits: int | None = None) -> None:
+        data = bytes(data)
+        if nbits is None:
+            nbits = 8 * len(data)
+        if not 0 <= nbits <= 8 * len(data):
+            raise ValueError(f"asked for {nbits} bits, have {8 * len(data)}")
+        data = data[: -(-nbits // 8)]
+        if nbits % 8:
+            data = data[:-1] + bytes([data[-1] & (1 << nbits % 8) - 1])
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "nbits", nbits)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitStream is immutable")
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitStream":
-        return cls(np.array(list(bits), dtype=np.uint8))
-
-    @classmethod
-    def from_packed_bytes(cls, data: bytes, nbits: int | None = None) -> "BitStream":
-        """Unpack bytes low bit first; ``nbits`` trims byte-padding."""
-        raw = np.frombuffer(bytes(data), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")
-        if nbits is not None:
-            if nbits > bits.size:
-                raise ValueError(f"asked for {nbits} bits, have {bits.size}")
-            bits = bits[:nbits]
-        return cls(bits)
-
-    def to_packed_bytes(self) -> bytes:
-        """Pack low bit first, zero-padding the final partial byte."""
-        return np.packbits(self.bits, bitorder="little").tobytes()
+        arr = np.array(list(bits), dtype=np.uint8)
+        if arr.ndim != 1 or arr.size and arr.max() > 1:
+            raise ValueError("stream entries must be 0 or 1")
+        return cls(np.packbits(arr, bitorder="little").tobytes(), arr.size)
 
     def tolist(self) -> list[int]:
-        return self.bits.tolist()
+        raw = np.frombuffer(self.data, dtype=np.uint8)
+        return np.unpackbits(raw, count=self.nbits, bitorder="little").tolist()
 
     def __len__(self) -> int:
-        return self.bits.size
+        return self.nbits
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitStream):
             return NotImplemented
-        return np.array_equal(self.bits, other.bits)
+        return (self.nbits, self.data) == (other.nbits, other.data)
 
     def __hash__(self):
-        return hash(self.bits.tobytes())
+        return hash((self.nbits, self.data))
 
     def __repr__(self) -> str:
-        head = "".join(str(b) for b in self.bits[:32])
+        head = "".join(str(self.data[i // 8] >> i % 8 & 1) for i in range(min(len(self), 32)))
         tail = "..." if len(self) > 32 else ""
         return f"BitStream({len(self)} bits: {head}{tail})"
 
@@ -129,8 +123,8 @@ class StreamTransform:
     def _apply(self, stream: BitStream, tables: np.ndarray) -> BitStream:
         if len(stream) % self.width:
             raise ValueError(f"stream length {len(stream)} not a multiple of {self.width}")
-        out = self._kernel(np.packbits(stream.bits, bitorder="little"), 0, tables)
-        return BitStream(np.unpackbits(out, count=len(stream), bitorder="little"))
+        out = self._kernel(np.frombuffer(stream.data, np.uint8), 0, tables)
+        return BitStream(out.tobytes(), len(stream))
 
     def _apply_chunks(self, chunks: Iterable[bytes], tables: np.ndarray) -> Iterator[np.ndarray]:
         nbits = 0

@@ -223,14 +223,28 @@ def machine_to_text(program: TmProgram, config: TmConfig | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_value(key: str, val: str):
+    """A header value: an int, or for ``tape`` the cell codes and the head."""
+    if key not in ("states", "alphabet", "start", "tape"):
+        raise ValueError(f"unknown header field {key!r}")
+    try:
+        if key != "tape":
+            return int(val)
+        codes, _, head = val.partition("@")  # no "@" leaves the head empty
+        return [int(c) for c in codes.split(",")] if codes else [], int(head)
+    except ValueError:
+        form = "<codes>@<head> in integers" if key == "tape" else "an integer"
+        raise ValueError(f"{key} must be {form}, got {val!r}") from None
+
+
 def machine_from_text(text: str) -> tuple[TmProgram, TmConfig]:
     """Parse a machine file; missing start/tape lines default to a blank
     tape with the head on cell 0 in state 0.
 
     The parser checks tokens, integers and the lines present; the program
     and its start configuration check their own values.  An error in a
-    rule names its line."""
-    header: dict[str, str] = {}
+    header or rule line names its line."""
+    header: dict = {}
     rules: dict[tuple[int, int], Rule] = {}
     lineno = 0  # the line being read; 0 again for the checks after the loop
     try:
@@ -239,8 +253,8 @@ def machine_from_text(text: str) -> tuple[TmProgram, TmConfig]:
             if not line:
                 continue
             if "=" in line and "->" not in line:
-                key, _, val = line.partition("=")
-                header[key.strip()] = val.strip()
+                key, _, val = (part.strip() for part in line.partition("="))
+                header[key] = _header_value(key, val)
                 continue
             tokens = line.split()
             if len(tokens) != 6 or tokens[2] != "->":
@@ -251,12 +265,9 @@ def machine_from_text(text: str) -> tuple[TmProgram, TmConfig]:
                 raise ValueError(f"duplicate rule for pair ({q},{a})")
             rules[(q, a)] = (q2, a2, tokens[5])
         lineno = 0
-        program = TmProgram(int(header["states"]), int(header["alphabet"]), rules)
-        codes, sep, head = header.get("tape", "@0").partition("@")
-        if not sep:
-            raise ValueError("tape line needs <codes>@<head>")
-        cells = [int(c) for c in codes.split(",")] if codes else []
-        config = TmConfig(dict(enumerate(cells)), int(head), int(header.get("start", 0)))
+        program = TmProgram(header["states"], header["alphabet"], rules)
+        cells, head = header.get("tape", ([], 0))
+        config = TmConfig(dict(enumerate(cells)), head, header.get("start", 0))
         _check_config(program, config)
     except KeyError as exc:
         raise MachineFormatError(f"missing {exc} header line") from None

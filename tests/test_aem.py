@@ -31,7 +31,7 @@ from dynls.aem import (
     run_utm_realization,
     trace_to_jsonl,
 )
-from dynls.bitcore import BitVec, XorFamily, identity_map, random_affine_invertible
+from dynls.bitcore import Affine, BitVec, XorFamily, random_affine_invertible
 from dynls.dls_engine import (
     DlsDecomposition,
     Schedule,
@@ -535,7 +535,7 @@ def fired_at(machine, tick):
 
 def test_identity_step_all_zero_input():
     m = Machine()
-    m.apply(compile_step(identity_map(15), BitVec(14, 0), 0, base_tick=0))
+    m.apply(compile_step(Affine.identity(15), BitVec(14, 0), 0, base_tick=0))
     m.run_until(2)
     assert readout_physical(m.trace, 0, 15) == BitVec(15, 0)
     names = element_names(15)
@@ -545,15 +545,15 @@ def test_identity_step_all_zero_input():
 def test_identity_step_copies_set_bits():
     r = BitVec.from_bits([1 if i in (0, 13) else 0 for i in range(14)])
     m = Machine()
-    m.apply(compile_step(identity_map(15), r, 0, base_tick=0))
+    m.apply(compile_step(Affine.identity(15), r, 0, base_tick=0))
     m.run_until(2)
     assert fired_at(m, 2) == {"d0", "d13"}
-    assert readout_physical(m.trace, 0, 15) == r.concat(BitVec(1, 0))
+    assert readout_physical(m.trace, 0, 15) == BitVec(15, r.value)
 
 
 def test_identity_step_carries_logical_bit():
     m = Machine()
-    m.apply(compile_step(identity_map(4), BitVec(3, 0b101), 1))
+    m.apply(compile_step(Affine.identity(4), BitVec(3, 0b101), 1))
     m.run_until(2)
     assert fired_at(m, 2) == {"d0", "d2", "bit_out"}
     assert readout_physical(m.trace, 0, 4) == BitVec(4, 0b1101)
@@ -561,7 +561,7 @@ def test_identity_step_carries_logical_bit():
 
 def test_nothing_fires_between_inject_and_readout():
     m = Machine()
-    m.apply(compile_step(identity_map(8), BitVec(7, 0x55), 1))
+    m.apply(compile_step(Affine.identity(8), BitVec(7, 0x55), 1))
     m.run_until(2)
     assert fired_at(m, 1) == set()
 
@@ -576,7 +576,7 @@ def test_xor_family_step_exhaustive_width4(flip):
             r = BitVec(3, r_value)
             m.apply(compile_step(fam, r, b, base_tick=3 * epoch))
             m.run_until(3 * epoch + 2)
-            want = fam.apply(r.concat(BitVec(1, b)))
+            want = fam.apply(BitVec(r.width + 1, r.value | b << r.width))
             assert readout_physical(m.trace, 3 * epoch, 4) == want
             epoch += 1
 
@@ -610,16 +610,16 @@ def test_affine_step_matches_direct_apply():
             r = BitVec(5, r_value)
             m.apply(compile_step(fam, r, b, base_tick=3 * epoch))
             m.run_until(3 * epoch + 2)
-            want = fam.apply(r.concat(BitVec(1, b)))
+            want = fam.apply(BitVec(r.width + 1, r.value | b << r.width))
             assert readout_physical(m.trace, 3 * epoch, 6) == want
             epoch += 1
 
 
 def test_compile_step_validates_input():
     with pytest.raises(ValueError):
-        compile_step(identity_map(4), BitVec(2, 0), 0)
+        compile_step(Affine.identity(4), BitVec(2, 0), 0)
     with pytest.raises(ValueError):
-        compile_step(identity_map(4), BitVec(3, 0), 2)
+        compile_step(Affine.identity(4), BitVec(3, 0), 2)
 
 
 def test_compiled_program_survives_text_round_trip():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynls.bitcore import XorFamily, identity_map, permute_coordinates
+from dynls.bitcore import Affine, XorFamily, permute_coordinates
 from dynls.blockstream import BitStream, StreamTransform
 from dynls.dls_engine import Schedule, derived_affine_family, derived_xor_family
 
@@ -28,7 +28,7 @@ def test_reversal_hand_example():
 
 def test_blocks_are_zero_indexed():
     # only block 0 takes the reversal, so schedule step j is block j
-    xf = StreamTransform([identity_map(2), _reversal(2)], Schedule([1, 0, 0]))
+    xf = StreamTransform([Affine.identity(2), _reversal(2)], Schedule([1, 0, 0]))
     out = xf.transform(BitStream.from_bits([1, 0, 0, 1, 1, 1]))
     assert out.tolist() == [0, 1, 0, 1, 1, 1]
 
@@ -77,7 +77,7 @@ def test_transform_recover_roundtrip(data):
 
 
 def test_identity_maps_pass_through():
-    xf = StreamTransform([identity_map(4)], Schedule(range(1)))
+    xf = StreamTransform([Affine.identity(4)], Schedule(range(1)))
     stream = BitStream.from_bits([1, 0, 1, 1, 0, 0, 1, 0])
     assert xf.transform(stream) == stream
     assert xf.recover(stream) == stream
@@ -136,7 +136,7 @@ def test_large_stream_roundtrip_exact():
     maps = [fam[i] for i in range(6)]
     xf = StreamTransform(maps, Schedule(range(6)))
     rng = np.random.default_rng(9)
-    stream = BitStream(rng.integers(0, 2, size=15 * 7000, dtype=np.uint8))
+    stream = BitStream.from_bits(rng.integers(0, 2, size=15 * 7000, dtype=np.uint8))
     assert xf.recover(xf.transform(stream)) == stream
 
 
@@ -187,11 +187,11 @@ def test_chunks_carry_the_block_offset(data):
     cuts = [c for c in range(1, nbytes) if 8 * c % width == 0]
     cut = data.draw(st.sampled_from(cuts)) if cuts else nbytes
     xf = StreamTransform(maps, Schedule(values))
-    bits = BitStream.from_packed_bytes(raw).tolist()
+    bits = BitStream(raw).tolist()
     for apply, inverse in ((xf.transform_chunks, False), (xf.recover_chunks, True)):
         out = b"".join(c.tobytes() for c in apply([raw[:cut], raw[cut:]]))
         expect = _block_oracle(maps, values, bits, width, inverse=inverse)
-        assert BitStream.from_packed_bytes(out).tolist() == expect
+        assert BitStream(out).tolist() == expect
 
 
 def test_chunks_must_end_on_a_block():
@@ -214,21 +214,37 @@ def test_width_cap_for_table_expansion():
 
 def test_packed_bytes_bit_order():
     # 0xB2 low bit first: 0,1,0,0,1,1,0,1
-    s = BitStream.from_packed_bytes(b"\xb2")
+    s = BitStream(b"\xb2")
     assert s.tolist() == [0, 1, 0, 0, 1, 1, 0, 1]
 
 
 def test_packed_roundtrip_with_truncation():
-    s = BitStream.from_packed_bytes(b"\xb2\x01", nbits=12)
+    s = BitStream(b"\xb2\xf1\xff", nbits=12)
     assert len(s) == 12
-    # repacking pads the tail with zero bits
-    assert BitStream.from_packed_bytes(s.to_packed_bytes(), nbits=12) == s
+    # trimming drops whole bytes past the bits and zeroes the padding bits
+    assert s.data == b"\xb2\x01"
+    assert BitStream(s.data, nbits=12) == s
+    assert BitStream(b"\xff", 3) == BitStream(b"\x07", 3)
+    assert hash(BitStream(b"\xff", 3)) == hash(BitStream(b"\x07", 3))
+    with pytest.raises(ValueError):
+        BitStream(b"\x01", 9)
+
+
+def test_transform_clears_the_padding_bits():
+    # 5 blocks of 3 fill 15 bits; the kernel also looks up the all-zero
+    # block 5 in the padding, whose image 0b001 sets bit 15
+    maps = [XorFamily(3, 0b01, 0b10, 0)]
+    bits = [1, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1]
+    out = StreamTransform(maps, Schedule([0])).transform(BitStream.from_bits(bits))
+    assert out.data[-1] >> 7 == 0
+    assert out == BitStream.from_bits(_block_oracle(maps, [0], bits, 3))
 
 
 @given(st.lists(st.integers(0, 1), max_size=200))
 def test_bits_pack_unpack(bits):
     s = BitStream.from_bits(bits)
-    assert BitStream.from_packed_bytes(s.to_packed_bytes(), nbits=len(bits)) == s
+    assert s.tolist() == bits
+    assert BitStream(s.data, nbits=len(bits)) == s
 
 
 def test_from_bits_validates():

@@ -13,7 +13,7 @@ import pytest
 import dynls
 from dynls import cli, tm
 from dynls.blockstream import CHUNK_GROUPS
-from dynls.bitcore import XorFamily, identity_map, swap_coordinates, write_map
+from dynls.bitcore import Affine, XorFamily, swap_coordinates, write_map
 from dynls.cli import main
 from dynls.tm import binary_incrementer, endless_counter, write_machine
 
@@ -333,6 +333,27 @@ def test_bad_machine_rule_names_file_and_line(tmp_path, capsys):
     assert err == f"dynls: {tm}: line 4: invalid literal for int() with base 10: 'x'\n"
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("states=x\nalphabet=2", "line 1: states must be an integer, got 'x'"),
+        ("states=2\nalphabet=2\ntape=1,x@0",
+         "line 3: tape must be <codes>@<head> in integers, got '1,x@0'"),
+        ("states=2\nalphabet=2\nstart=q", "line 3: start must be an integer, got 'q'"),
+        ("states=2\nalphabet=2\nstrat=1", "line 3: unknown header field 'strat'"),
+    ],
+    ids=["states", "tape", "start", "unknown"],
+)
+def test_bad_machine_header_names_field_and_line(tmp_path, capsys, header, message):
+    tm = tmp_path / "h.tm"
+    tm.write_text(f"{header}\n0 0 -> 1 1 R\n")
+    out = tmp_path / "o"
+    assert main(["run-utm", "--tm", str(tm), "--steps", "5", "--rng", "seeded:1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"dynls: {tm}: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flags", [["--states", "0"], ["--sample", "0"]])
 def test_verify_secrecy_needs_states_and_samples(flags, capsys):
     code = main(["verify-secrecy", "--dls", "xorfam", "--width", "4", *flags])
@@ -469,7 +490,7 @@ def test_stream_identity_maps_pass_through(tmp_path):
     mapdir = tmp_path / "maps"
     mapdir.mkdir()
     for i in range(3):
-        write_map(identity_map(8), mapdir / f"{i}.map")
+        write_map(Affine.identity(8), mapdir / f"{i}.map")
     payload = bytes(range(64))
     src = tmp_path / "in.bits"
     src.write_bytes(payload)
@@ -572,7 +593,7 @@ def test_stream_maps_must_match_the_block_width(tmp_path, capsys):
     # run anyway, width-3 maps would write n=4 to the sidecar
     mapdir = tmp_path / "maps"
     mapdir.mkdir()
-    write_map(identity_map(3), mapdir / "0.map")
+    write_map(Affine.identity(3), mapdir / "0.map")
     src = tmp_path / "in.bits"
     src.write_bytes(bytes(24))
     out = tmp_path / "out"

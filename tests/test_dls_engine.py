@@ -30,7 +30,6 @@ from dynls.bitcore import (
     BoolFn,
     PermTable,
     XorFamily,
-    identity_map,
     random_affine_invertible,
     swap_coordinates,
 )
@@ -118,7 +117,7 @@ def test_schedulers_cycle():
 
 
 def test_realize_step_identity_family_sets_top_coordinate():
-    dls = DlsDecomposition({0: identity_map(5)}, Schedule([0]), ByteSource(b""))
+    dls = DlsDecomposition({0: Affine.identity(5)}, Schedule([0]), ByteSource(b""))
     real = realize_step(dls, 0, BitVec(4, 0), 1)
     assert real.physical == BitVec(5, 0b10000)
     assert real.observable == BitVec(4, 0)
@@ -132,7 +131,7 @@ def test_realize_step_xorfam_width4_oracle():
 
 
 def test_identity_decode_is_split():
-    dls = DlsDecomposition({0: identity_map(6)}, Schedule([0]), ByteSource(b""))
+    dls = DlsDecomposition({0: Affine.identity(6)}, Schedule([0]), ByteSource(b""))
     for y in range(64):
         vec = BitVec(6, y)
         low, top = vec.split(5)
@@ -207,7 +206,8 @@ def test_invariance_catches_injected_fault():
     # re-encode step 7 with the logical bit flipped; the physical state now
     # decodes to the wrong side of the level set
     bad = reals[7]
-    flipped = bad.random_part.concat(BitVec(1, 1 - bad.logical_bit))
+    r = bad.random_part
+    flipped = BitVec(r.width + 1, r.value | (1 - bad.logical_bit) << r.width)
     reals[7] = Realization(
         bad.step, bad.state, bad.random_part, bad.logical_bit,
         dls.map_for(bad.state).apply(flipped),
@@ -268,7 +268,7 @@ def test_swap_map_fails_secrecy():
 
 def test_swap_map_distance_to_uniform():
     report = verify_perfect_secrecy(
-        {"id": identity_map(3), "leaky": swap_coordinates(3, 0, 2)}
+        {"id": Affine.identity(3), "leaky": swap_coordinates(3, 0, 2)}
     )
     # reference is the identity map's uniform histogram
     assert report.tvs[("leaky", 0)] == Fraction(1, 2)

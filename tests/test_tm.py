@@ -280,6 +280,7 @@ def test_machine_text_tape_line():
         "states=2\nalphabet=2\ntape=-1@0\n",
         "states=2\nalphabet=2\ntape=1,x@0\n",
         "states=2\nalphabet=2\ntape=1@x\n",
+        "states=2\nalphabet=2\ntape=1,0\n",  # no head
         "states=x\nalphabet=2\n",
         "states=2\nalphabet=2\n0 x -> 1 1 R\n",
     ],
