@@ -51,6 +51,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 @dataclass(frozen=True)
 class Element:
+    """Create an element, or replace the one with the same name."""
+
     name: str
     threshold: int
     refractory: int
@@ -65,6 +67,8 @@ class Element:
 
 @dataclass(frozen=True)
 class Connection:
+    """Install a connection; amplitude 0 deletes the (source, target) edge."""
+
     source: str
     target: str
     amplitude: int
@@ -73,20 +77,6 @@ class Connection:
     def __post_init__(self):
         if self.delay < 1:
             raise ValueError(f"delay must be >= 1, got {self.delay}")
-
-
-@dataclass(frozen=True)
-class ElementCmd:
-    """Create an element, or replace the one with the same name."""
-
-    element: Element
-
-
-@dataclass(frozen=True)
-class ConnectionCmd:
-    """Install a connection; amplitude 0 deletes the (source, target) edge."""
-
-    connection: Connection
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ class FireCmd:
             raise ValueError(f"tick must be >= 0, got {self.tick}")
 
 
-RuleCmd = Union[ElementCmd, ConnectionCmd]
+Rule = Union[Element, Connection]
 
 
 @dataclass(frozen=True)
@@ -114,10 +104,10 @@ class MetaCmd:
 
     kind: MetaKind
     trigger: str
-    payload: tuple[RuleCmd, ...]
+    payload: tuple[Rule, ...]
 
     def __post_init__(self):
-        want = ConnectionCmd if self.kind is MetaKind.CONNECTIONS else ElementCmd
+        want = Connection if self.kind is MetaKind.CONNECTIONS else Element
         for cmd in self.payload:
             if not isinstance(cmd, want):
                 raise ValueError(
@@ -126,7 +116,7 @@ class MetaCmd:
                 )
 
 
-Command = Union[ElementCmd, ConnectionCmd, FireCmd, MetaCmd]
+Command = Union[Element, Connection, FireCmd, MetaCmd]
 
 
 @dataclass(frozen=True)
@@ -171,11 +161,11 @@ def _command(tokens: list) -> Command:
     if tokens[0] == "E":
         _, name, threshold, refractory, kind = tokens
         threshold, refractory = _int(threshold, "threshold"), _int(refractory, "refractory")
-        return ElementCmd(Element(name, threshold, refractory, ElementKind(kind)))
+        return Element(name, threshold, refractory, ElementKind(kind))
     if tokens[0] == "C":
         _, source, target, amplitude, delay = tokens
         amplitude, delay = _int(amplitude, "amplitude"), _int(delay, "delay")
-        return ConnectionCmd(Connection(_ref(source), _ref(target), amplitude, delay))
+        return Connection(_ref(source), _ref(target), amplitude, delay)
     _, name, tick = tokens
     return FireCmd(_ref(name), _int(tick, "tick"))
 
@@ -195,10 +185,10 @@ def parse(text: str) -> AemProgram:
             head = tokens[0]
             if head not in ("MC", "ME"):
                 cmd = _command(tokens)
-                if isinstance(cmd, ElementCmd):
-                    if cmd.element.name in seen:
-                        raise ValueError(f"duplicate element {cmd.element.name!r}")
-                    seen.add(cmd.element.name)
+                if isinstance(cmd, Element):
+                    if cmd.name in seen:
+                        raise ValueError(f"duplicate element {cmd.name!r}")
+                    seen.add(cmd.name)
                 commands.append(cmd)
                 continue
             if len(tokens) != 3 or tokens[2] != "{":
@@ -223,12 +213,10 @@ def parse(text: str) -> AemProgram:
 
 
 def _print_cmd(cmd: Command) -> list:
-    if isinstance(cmd, ElementCmd):
-        e = cmd.element
-        return [f"E {e.name} {e.threshold} {e.refractory} {e.kind.value}"]
-    if isinstance(cmd, ConnectionCmd):
-        c = cmd.connection
-        return [f"C {c.source} {c.target} {c.amplitude} {c.delay}"]
+    if isinstance(cmd, Element):
+        return [f"E {cmd.name} {cmd.threshold} {cmd.refractory} {cmd.kind.value}"]
+    if isinstance(cmd, Connection):
+        return [f"C {cmd.source} {cmd.target} {cmd.amplitude} {cmd.delay}"]
     if isinstance(cmd, FireCmd):
         return [f"F {cmd.name} {cmd.tick}"]
     lines = [f"{cmd.kind.value} {cmd.trigger} {{"]
@@ -283,7 +271,7 @@ class Machine:
         if isinstance(commands, AemProgram):
             commands = commands.commands
         for cmd in commands:
-            if isinstance(cmd, (ElementCmd, ConnectionCmd)):
+            if isinstance(cmd, (Element, Connection)):
                 self._apply_rule(cmd)
             elif isinstance(cmd, FireCmd):
                 self._require(cmd.name, "fire target")
@@ -303,11 +291,10 @@ class Machine:
         if name not in self.elements:
             raise AemLinkError(f"{role} {name!r} is not an element of this machine")
 
-    def _apply_rule(self, cmd: RuleCmd) -> None:
-        if isinstance(cmd, ElementCmd):
-            self.elements[cmd.element.name] = cmd.element
+    def _apply_rule(self, c: Rule) -> None:
+        if isinstance(c, Element):
+            self.elements[c.name] = c
             return
-        c = cmd.connection
         key = (c.source, c.target)
         old = self.connections.get(key)
         if old is c:
@@ -392,69 +379,57 @@ BIT_OUT = "bit_out"
 EPOCH_TICKS = 3
 
 
-class StepElements(NamedTuple):
-    randoms: tuple[str, ...]
-    outputs: tuple[str, ...]
-
-
-def element_names(width: int) -> StepElements:
-    """The per-coordinate element names for maps of this width."""
-    k = width - 1
-    return StepElements(
-        randoms=tuple(f"r{i}" for i in range(k)),
-        outputs=tuple(f"d{i}" for i in range(k)),
-    )
-
-
 class _Wires(NamedTuple):
-    """The connection commands into one output element: from the strobe
+    """The connections into one output element: from the strobe
     (off/on) and from its input element (cut/copy/veto).  Coordinate
     width-1 pairs the bit-input element with the bit-output element."""
 
-    off: ConnectionCmd
-    on: ConnectionCmd
-    cut: ConnectionCmd
-    copy: ConnectionCmd
-    veto: ConnectionCmd
+    off: Connection
+    on: Connection
+    cut: Connection
+    copy: Connection
+    veto: Connection
 
 
 class _StepParts(NamedTuple):
-    names: StepElements
-    elements: tuple[ElementCmd, ...]
+    randoms: tuple[str, ...]  # r0.., the random-part inputs
+    outputs: tuple[str, ...]  # d0.., their outputs
+    elements: tuple[Element, ...]
     rearm: MetaCmd
     wires: tuple[_Wires, ...]
 
 
 @lru_cache(maxsize=None)
 def _step_parts(width: int) -> _StepParts:
-    """The commands every step of this width shares, built once.
+    """The names and commands every step of this width shares, built once.
 
     They are frozen dataclasses in tuples, so every program may hold the
     same objects.
     """
 
-    def element(name: str, kind: ElementKind) -> ElementCmd:
-        return ElementCmd(Element(name, 1, 0, kind))
+    def element(name: str, kind: ElementKind) -> Element:
+        return Element(name, 1, 0, kind)
 
-    def wire(source: str, target: str, amplitude: int) -> ConnectionCmd:
-        return ConnectionCmd(Connection(source, target, amplitude, 2))
+    def wire(source: str, target: str, amplitude: int) -> Connection:
+        return Connection(source, target, amplitude, 2)
 
-    names = element_names(width)
-    outputs = tuple(element(n, ElementKind.COMPUTING) for n in (*names.outputs, BIT_OUT))
+    randoms = tuple(f"r{i}" for i in range(width - 1))
+    outputs = tuple(f"d{i}" for i in range(width - 1))
+    bank = tuple(element(n, ElementKind.COMPUTING) for n in (*outputs, BIT_OUT))
     elements = (
         element(GO, ElementKind.RANDOM),
         element(BIT_IN, ElementKind.RANDOM),
-        outputs[-1],
-        *(element(n, ElementKind.RANDOM) for n in names.randoms),
-        *outputs[:-1],
+        bank[-1],
+        *(element(n, ElementKind.RANDOM) for n in randoms),
+        *bank[:-1],
     )
     wires = tuple(
         _Wires(
             wire(GO, dn, 0), wire(GO, dn, 1), wire(rn, dn, 0), wire(rn, dn, 1), wire(rn, dn, -1)
         )
-        for rn, dn in zip((*names.randoms, BIT_IN), (*names.outputs, BIT_OUT))
+        for rn, dn in zip((*randoms, BIT_IN), (*outputs, BIT_OUT))
     )
-    return _StepParts(names, elements, MetaCmd(MetaKind.ELEMENTS, GO, outputs), wires)
+    return _StepParts(randoms, outputs, elements, MetaCmd(MetaKind.ELEMENTS, GO, bank), wires)
 
 
 # bounded, since a caller may compile steps for any number of mask pairs
@@ -516,7 +491,7 @@ def compile_step(
     parts = _step_parts(width)
 
     cmds: list = [*parts.elements, FireCmd(GO, base_tick)]
-    for i, name in enumerate(parts.names.randoms):
+    for i, name in enumerate(parts.randoms):
         if (r.value >> i) & 1:
             cmds.append(FireCmd(name, base_tick))
     if logical_bit:
@@ -542,13 +517,10 @@ def compile_step(
 def readout_physical(trace: FiringTrace, base_tick: int, width: int) -> BitVec:
     """Reassemble the physical word from the epoch's readout tick."""
     fired = trace[base_tick + EPOCH_TICKS - 1]
-    names = _step_parts(width).names
     value = 0
-    for i, dn in enumerate(names.outputs):
-        if dn in fired:
+    for i, name in enumerate((*_step_parts(width).outputs, BIT_OUT)):
+        if name in fired:
             value |= 1 << i
-    if BIT_OUT in fired:
-        value |= 1 << (width - 1)
     return BitVec(width, value)
 
 

@@ -416,14 +416,27 @@ def map_to_text(m: InvertibleMap) -> str:
     raise TypeError(f"unknown map representation: {type(m).__name__}")
 
 
+def _fields(tokens: Sequence[str], keys: Sequence[str]) -> dict[str, str]:
+    """`key=value` tokens, each key one of `keys` and given at most once."""
+    fields: dict[str, str] = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if key not in keys:
+            raise ValueError(f"unknown field {key!r}")
+        if not sep:
+            raise ValueError(f"field {key!r} has no value")
+        if key in fields:
+            raise ValueError(f"repeated field {key!r}")
+        fields[key] = value
+    return fields
+
+
 def map_from_text(text: str) -> InvertibleMap:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     try:
         if not lines:
             raise ValueError("empty map file")
-        header = dict(
-            part.split("=", 1) for part in lines[0].split() if "=" in part
-        )
+        header = _fields(lines[0].split(), ("width", "kind"))
         width = int(header["width"])
         kind = header["kind"]
         body = lines[1:]
@@ -439,7 +452,7 @@ def map_from_text(text: str) -> InvertibleMap:
         if kind == "xorfam":
             if len(body) != 1:
                 raise ValueError("xorfam body must be a single line")
-            fields = dict(part.split("=", 1) for part in body[0].split())
+            fields = _fields(body[0].split(), ("mask0", "mask1", "flip"))
             return XorFamily(
                 width,
                 int(fields["mask0"], 16),

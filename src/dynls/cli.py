@@ -12,12 +12,11 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
 from .aem import UtmRunReport, run_utm_realization, trace_to_jsonl
-from .bitcore import read_map
+from .bitcore import _fields, read_map
 from .blockstream import CHUNK_GROUPS, StreamTransform
 from .dls_engine import (
     DlsDecomposition,
@@ -53,10 +52,12 @@ def _terminated(text: str) -> str:
 
 def _write_atomic(path: Path, data) -> None:
     """Write text, bytes, or an iterable of byte chunks through a temp file
-    and rename, so failed runs never leave a partial artifact behind."""
+    and rename, so failed runs never leave a partial artifact behind.  The
+    file gets the umask's mode, as with `open`."""
     mode = "w" if isinstance(data, str) else "wb"
     chunks = (data,) if isinstance(data, (str, bytes, bytearray)) else data
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    tmp = f"{path}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             for chunk in chunks:
@@ -272,20 +273,21 @@ def build_schedule(spec: str, count: int):
 
 
 def _read_stream_meta(path: Path):
+    """The sidecar's one line, ``n=<width> m=<count> sched=<spec>``; the
+    spec runs to the end of the line, so a trace path may hold spaces."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read stream sidecar {path}: {exc}") from None
-    fields = {}
-    for token in text.split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise UsageError(f"{path}: bad sidecar token {token!r}")
-        fields[key] = value
+    lines = [line for line in text.splitlines() if line.strip()]
+    head, sep, sched = (lines or [""])[0].partition("sched=")
     try:
-        return int(fields["n"]), int(fields["m"]), fields["sched"]
-    except (KeyError, ValueError):
-        raise UsageError(f"{path}: sidecar must carry n=, m=, sched=") from None
+        fields = _fields(head.split(), ("n", "m"))
+        if len(lines) == 1 and sep and len(fields) == 2:
+            return int(fields["n"]), int(fields["m"]), sched
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+    raise UsageError(f"{path}: sidecar must be one line, n=<width> m=<count> sched=<spec>")
 
 
 def cmd_stream(args) -> int:

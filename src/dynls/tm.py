@@ -254,6 +254,8 @@ def machine_from_text(text: str) -> tuple[TmProgram, TmConfig]:
                 continue
             if "=" in line and "->" not in line:
                 key, _, val = (part.strip() for part in line.partition("="))
+                if key in header:
+                    raise ValueError(f"duplicate header field {key!r}")
                 header[key] = _header_value(key, val)
                 continue
             tokens = line.split()

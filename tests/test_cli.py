@@ -341,8 +341,9 @@ def test_bad_machine_rule_names_file_and_line(tmp_path, capsys):
          "line 3: tape must be <codes>@<head> in integers, got '1,x@0'"),
         ("states=2\nalphabet=2\nstart=q", "line 3: start must be an integer, got 'q'"),
         ("states=2\nalphabet=2\nstrat=1", "line 3: unknown header field 'strat'"),
+        ("states=2\nalphabet=2\nstates=3", "line 3: duplicate header field 'states'"),
     ],
-    ids=["states", "tape", "start", "unknown"],
+    ids=["states", "tape", "start", "unknown", "repeated"],
 )
 def test_bad_machine_header_names_field_and_line(tmp_path, capsys, header, message):
     tm = tmp_path / "h.tm"
@@ -351,6 +352,40 @@ def test_bad_machine_header_names_field_and_line(tmp_path, capsys, header, messa
     assert main(["run-utm", "--tm", str(tm), "--steps", "5", "--rng", "seeded:1",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"dynls: {tm}: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+_XORFAM_BODY = "mask0=1 mask1=2 flip=1"
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("map", f"width=3 kind=xorfam junk\n{_XORFAM_BODY}", "unknown field 'junk'"),
+        ("map", f"width=3 width=4 kind=xorfam\n{_XORFAM_BODY}", "repeated field 'width'"),
+        ("map", "width=3 kind=xorfam\nmask0=1 mask0=2 mask1=2 flip=1", "repeated field 'mask0'"),
+        ("map", "width=3 kind=xorfam\nmask0=1 mask1 flip=1", "field 'mask1' has no value"),
+        ("meta", "n=16 n=12 m=6 m=6 sched=periodic:6 junk=1", "repeated field 'n'"),
+        ("meta", "n=4 m=3 sched=periodic:3\nn=4",
+         "sidecar must be one line, n=<width> m=<count> sched=<spec>"),
+    ],
+    ids=["map-unknown", "map-repeated", "xorfam-repeated", "xorfam-no-value", "sidecar",
+         "sidecar-two-lines"],
+)
+def test_key_value_fields_are_known_and_given_once(tmp_path, capsys, kind, text, message):
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(24))  # whole blocks of 12 and 16 bits
+    out = tmp_path / "out"
+    if kind == "map":
+        path = tmp_path / "maps" / "0.map"
+        path.parent.mkdir()
+        argv = ["verify-secrecy", "--dls", f"file:{path.parent}", "--out", str(out)]
+    else:
+        path = tmp_path / "in.bits.meta"
+        argv = stream_args("recover", src, out, maps="xorfam:1")
+    path.write_text(text + "\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"dynls: {path}: {message}\n"
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -524,6 +559,39 @@ def test_stream_trace_schedule_round_trip(tmp_path, counter_tm):
     )
     assert code == 0
     assert (tmp_path / "back" / "recovered.bits").read_bytes() == payload
+
+
+def test_stream_trace_path_with_a_space_round_trips(tmp_path, counter_tm):
+    machine = tmp_path / "my dir" / "c.tm"
+    machine.parent.mkdir()
+    machine.write_bytes(Path(counter_tm).read_bytes())
+    payload = os.urandom(300)
+    src = tmp_path / "in.bits"
+    src.write_bytes(payload)
+    argv = stream_args("transform", src, tmp_path / "fwd", maps="affine:3", width=8, count=5,
+                       sched=f"trace:{machine}")
+    assert main(argv) == 0
+    meta = (tmp_path / "fwd" / "stream.bits.meta").read_text()
+    assert meta == f"n=8 m=5 sched=trace:{machine}\n"
+    argv = stream_args("recover", tmp_path / "fwd" / "stream.bits", tmp_path / "back",
+                       maps="affine:3")
+    assert main(argv) == 0
+    assert (tmp_path / "back" / "recovered.bits").read_bytes() == payload
+
+
+def test_artifacts_get_the_umask_mode(tmp_path):
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(32))
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        argv = stream_args("transform", src, out, maps="xorfam:1", width=16, count=2,
+                           sched="periodic:2")
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert modes == dict.fromkeys(["stream.bits", "stream.bits.meta", "manifest.json"], 0o644)
 
 
 def test_stream_length_not_divisible(tmp_path, capsys):
