@@ -21,6 +21,7 @@ from .blockstream import CHUNK_GROUPS, StreamTransform
 from .dls_engine import (
     DlsDecomposition,
     Schedule,
+    _family_width,
     derived_affine_family,
     derived_xor_family,
     sampled_secrecy_report,
@@ -40,14 +41,6 @@ UTM_WIDTH = 15
 TRACE_SCHEDULE_HORIZON = 4096
 
 QRNG_URL_ENV = "DLS_QRNG_URL"
-
-
-class UsageError(ValueError):
-    pass
-
-
-def _terminated(text: str) -> str:
-    return text if text.endswith("\n") or not text else text + "\n"
 
 
 def _write_atomic(path: Path, data) -> None:
@@ -71,13 +64,20 @@ def _write_atomic(path: Path, data) -> None:
         raise
 
 
-def _write_manifest(out: Path, subcommand: str, parameters: dict, source, artifacts: dict) -> None:
+def _write_run(out: str, subcommand: str, parameters: dict, source, artifacts: dict) -> None:
+    """Create `out`, write each artifact, ``key: (file name, data)``, then the
+    manifest that names them.  Every command calls this once its inputs have
+    passed, so a run that fails on its inputs leaves no `out` directory."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in artifacts.values():
+        _write_atomic(out / name, data)
     manifest = {
         "tool": {"name": "dynls", "version": __version__},
         "subcommand": subcommand,
         "parameters": parameters,
         "source": source,
-        "artifacts": artifacts,
+        "artifacts": {key: name for key, (name, _) in artifacts.items()},
     }
     _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -85,52 +85,47 @@ def _write_manifest(out: Path, subcommand: str, parameters: dict, source, artifa
 # ---------------------------------------------------------------------------
 # flag value parsing
 
+RNG_FORMS = {"seeded": ":<u64>", "os": "", "qrng": "[:<url>]"}
+FAMILY_FORMS = {"xorfam": "[:<seed>]", "affine": ":<seed>", "file": ":<dir>"}
+SCHEDULE_FORMS = {"periodic": ":<p>", "trace": ":<file>"}
+INTEGER_ARGS = ("<u64>", "<seed>", "<p>")
+
+
+def split_spec(spec: str, forms: dict):
+    """A ``kind[:arg]`` spec to (kind, arg), checked against `forms`, which
+    maps each kind to "" (no argument), ":<x>" (one) or "[:<x>]" (an optional
+    one); arg is None when absent and an int when <x> is in INTEGER_ARGS."""
+    kind, colon, arg = spec.partition(":")
+    form = forms.get(kind)
+    if form is None or (bool(colon) != bool(form) and not form.startswith("[")):
+        expected = ", ".join(name + shape for name, shape in forms.items())
+        raise ValueError(f"bad spec {spec!r}; expected one of {expected}")
+    if not colon:
+        return kind, None
+    placeholder = form.strip("[:]")
+    if not arg:
+        raise ValueError(f"{spec!r} needs a {placeholder} after the colon")
+    if placeholder not in INTEGER_ARGS:
+        return kind, arg
+    try:
+        return kind, int(arg, 10)
+    except ValueError:
+        raise ValueError(f"{spec!r}: {placeholder} must be an integer") from None
+
 
 def parse_source(spec: str):
     """An --rng spec to (source, descriptor-for-the-manifest)."""
-    if spec.startswith("seeded:"):
-        try:
-            seed = int(spec[len("seeded:"):], 10)
-        except ValueError:
-            raise UsageError(f"bad seed in {spec!r}") from None
-        if not 0 <= seed < 2**64:
-            raise UsageError(f"seed must fit in 64 bits, got {seed}")
-        return SeededSource(seed), {"kind": "seeded", "seed": seed}
-    if spec == "os":
+    kind, arg = split_spec(spec, RNG_FORMS)
+    if kind == "seeded":
+        if not 0 <= arg < 2**64:
+            raise ValueError(f"seed must fit in 64 bits, got {arg}")
+        return SeededSource(arg), {"kind": "seeded", "seed": arg}
+    if kind == "os":
         return OsEntropySource(), {"kind": "os"}
-    if spec == "qrng" or spec.startswith("qrng:"):
-        url = spec[len("qrng:"):] if spec.startswith("qrng:") else ""
-        if not url:
-            url = os.environ.get(QRNG_URL_ENV, "")
-        if not url:
-            raise UsageError(
-                f"qrng source needs an endpoint: qrng:<url> or ${QRNG_URL_ENV}"
-            )
-        return QrngSource(url), {"kind": "qrng", "url": url}
-    raise UsageError(
-        f"unknown rng spec {spec!r}; expected seeded:<u64>, os, or qrng:<url>"
-    )
-
-
-def parse_family_spec(spec: str):
-    """A --dls/--maps spec to (kind, argument)."""
-    if spec == "xorfam":
-        return "xorfam", None
-    for prefix in ("xorfam:", "affine:"):
-        if spec.startswith(prefix):
-            try:
-                return prefix[:-1], int(spec[len(prefix):], 10)
-            except ValueError:
-                raise UsageError(f"bad seed in {spec!r}") from None
-    if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        if not path:
-            raise UsageError("file: spec needs a directory path")
-        return "file", path
-    raise UsageError(
-        f"unknown map family {spec!r}; expected xorfam[:seed], "
-        f"affine:<seed>, or file:<dir>"
-    )
+    url = arg or os.environ.get(QRNG_URL_ENV, "")
+    if not url:
+        raise ValueError(f"qrng source needs an endpoint: qrng:<url> or ${QRNG_URL_ENV}")
+    return QrngSource(url), {"kind": "qrng", "url": url}
 
 
 def _map_filename(state) -> str:
@@ -139,24 +134,24 @@ def _map_filename(state) -> str:
     return f"{state}.map"
 
 
-def family_for_states(kind: str, arg, width: int, states, default_seed: int):
-    """Build the per-state map family a spec describes.
+def family_for_states(spec: str, width: int, states, default_seed: int):
+    """Build the per-state map family a --dls/--maps spec describes.
 
     Derived families are keyed on the state's repr, so the same spec and
     state set always yields the same maps, which is what lets a manifest
     reproduce a run.
     """
+    kind, arg = split_spec(spec, FAMILY_FORMS)
     if kind == "xorfam":
         seed = default_seed if arg is None else arg
         return derived_xor_family(width, states, seed)
     if kind == "affine":
         return derived_affine_family(width, states, arg)
-    base = Path(arg)
     family = {}
     for state in states:
-        path = base / _map_filename(state)
+        path = Path(arg) / _map_filename(state)
         if not path.is_file():
-            raise UsageError(f"no map file for state {state!r}: {path}")
+            raise ValueError(f"no map file for state {state!r}: {path}")
         family[state] = read_map(path)
     return family
 
@@ -167,17 +162,15 @@ def family_for_states(kind: str, arg, width: int, states, default_seed: int):
 
 def cmd_run_utm(args) -> int:
     if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    program, config = read_machine(args.tm)
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     source, descriptor = parse_source(args.rng)
-    kind, spec_arg = parse_family_spec(args.dls)
+    split_spec(args.dls, FAMILY_FORMS)  # before the trace, which may have no step to map
+    program, config = read_machine(args.tm)
 
     pairs = instruction_trace(program, config, args.steps)
     if pairs:
         family = family_for_states(
-            kind, spec_arg, UTM_WIDTH, sorted(set(pairs)), descriptor.get("seed", 0)
+            args.dls, UTM_WIDTH, sorted(set(pairs)), descriptor.get("seed", 0)
         )
         dls = DlsDecomposition(family, Schedule(pairs), source)
         trace, report = run_utm_realization(program, dls, args.steps)
@@ -186,14 +179,15 @@ def cmd_run_utm(args) -> int:
         trace = {}
         report = UtmRunReport(args.steps, 0, (), ())
 
-    _write_atomic(out / "trace.jsonl", trace_to_jsonl(trace))
-    _write_atomic(out / "report.txt", report.to_text())
-    _write_manifest(
-        out,
+    _write_run(
+        args.out,
         "run-utm",
         {"tm": args.tm, "dls": args.dls, "steps": args.steps, "rng": args.rng},
         descriptor,
-        {"trace": "trace.jsonl", "report": "report.txt"},
+        {
+            "trace": ("trace.jsonl", trace_to_jsonl(trace)),
+            "report": ("report.txt", report.to_text()),
+        },
     )
     sys.stdout.write(report.to_text())
     return EXIT_PASS if report.ok else EXIT_VIOLATION
@@ -204,18 +198,21 @@ def cmd_run_utm(args) -> int:
 
 
 def cmd_verify_secrecy(args) -> int:
-    kind, spec_arg = parse_family_spec(args.dls)
+    kind, arg = split_spec(args.dls, FAMILY_FORMS)
     source, descriptor = parse_source(args.rng)
 
     if kind == "file":
-        states = [p.stem for p in sorted(Path(spec_arg).glob("*.map"))]
-        if not states:
-            raise UsageError(f"no .map files in {Path(spec_arg)}")
+        if args.states is not None:
+            raise ValueError("--states does not apply to a file: family")
+        states = [p.stem for p in sorted(Path(arg).glob("*.map"))]
     elif args.width is None:
-        raise UsageError("--width is required for derived families")
+        raise ValueError("--width is required for derived families")
     else:
-        states = list(range(args.states))
-    family = family_for_states(kind, spec_arg, args.width, states, descriptor.get("seed", 0))
+        states = range(12 if args.states is None else args.states)
+    family = family_for_states(args.dls, args.width, states, descriptor.get("seed", 0))
+    width = _family_width(family.values())
+    if args.width not in (None, width):
+        raise ValueError(f"--width {args.width} does not match the maps' width {width}")
 
     if args.sample is not None:
         seed = descriptor.get("seed")
@@ -226,24 +223,21 @@ def cmd_verify_secrecy(args) -> int:
     else:
         report = verify_perfect_secrecy(family)
 
-    text = _terminated(report.to_text())
+    text = report.to_text()
     sys.stdout.write(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out / "report.txt", text)
-        _write_manifest(
-            out,
+        _write_run(
+            args.out,
             "verify-secrecy",
             {
                 "dls": args.dls,
-                "width": args.width,
-                "states": args.states,
+                "width": width,
+                "states": len(family),
                 "sample": args.sample,
                 "rng": args.rng,
             },
             descriptor,
-            {"report": "report.txt"},
+            {"report": ("report.txt", text)},
         )
     return EXIT_PASS if report.passed else EXIT_VIOLATION
 
@@ -253,85 +247,71 @@ def cmd_verify_secrecy(args) -> int:
 
 
 def build_schedule(spec: str, count: int):
-    if spec.startswith("periodic:"):
-        try:
-            period = int(spec[len("periodic:"):], 10)
-        except ValueError:
-            raise UsageError(f"bad period in {spec!r}") from None
-        if not 1 <= period <= count:
-            raise UsageError(f"period must be in 1..{count}, got {period}")
-        return Schedule(range(period))
-    if spec.startswith("trace:"):
-        program, config = read_machine(spec[len("trace:"):])
-        pairs = instruction_trace(program, config, TRACE_SCHEDULE_HORIZON)
-        if not pairs:
-            raise UsageError("schedule machine halts before its first step")
-        return Schedule((4 * q + a) % count for q, a in pairs)
-    raise UsageError(
-        f"unknown schedule {spec!r}; expected periodic:<p> or trace:<file>"
-    )
+    """A --sched spec to the Schedule of `count` maps.  The spec goes into the
+    sidecar's one line, so it may hold no line break."""
+    kind, arg = split_spec(spec, SCHEDULE_FORMS)
+    if spec.splitlines() != [spec]:
+        raise ValueError(f"schedule {spec!r} must be one line")
+    if kind == "periodic":
+        if not 1 <= arg <= count:
+            raise ValueError(f"period must be in 1..{count}, got {arg}")
+        return Schedule(range(arg))
+    program, config = read_machine(arg)
+    pairs = instruction_trace(program, config, TRACE_SCHEDULE_HORIZON)
+    if not pairs:
+        raise ValueError("schedule machine halts before its first step")
+    return Schedule((4 * q + a) % count for q, a in pairs)
 
 
 def _read_stream_meta(path: Path):
     """The sidecar's one line, ``n=<width> m=<count> sched=<spec>``; the
     spec runs to the end of the line, so a trace path may hold spaces."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read stream sidecar {path}: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
     head, sep, sched = (lines or [""])[0].partition("sched=")
     try:
         fields = _fields(head.split(), ("n", "m"))
         if len(lines) == 1 and sep and len(fields) == 2:
             return int(fields["n"]), int(fields["m"]), sched
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
-    raise UsageError(f"{path}: sidecar must be one line, n=<width> m=<count> sched=<spec>")
+        raise ValueError(f"{path}: {exc}") from None
+    raise ValueError(f"{path}: sidecar must be one line, n=<width> m=<count> sched=<spec>")
 
 
 def cmd_stream(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.mode == "transform":
-        if args.width is None or args.count is None or args.sched is None:
-            raise UsageError("transform needs --width, --count, and --sched")
         width, count, sched_spec = args.width, args.count, args.sched
     else:
         width, count, sched_spec = _read_stream_meta(Path(args.input + ".meta"))
     if count < 1:
-        raise UsageError(f"map count must be >= 1, got {count}")
+        raise ValueError(f"map count must be >= 1, got {count}")
 
-    kind, spec_arg = parse_family_spec(args.maps)
-    family = family_for_states(kind, spec_arg, width, list(range(count)), 0)
-    maps = [family[i] for i in range(count)]
-    transform = StreamTransform(maps, build_schedule(sched_spec, count))
+    family = family_for_states(args.maps, width, range(count), 0)
+    transform = StreamTransform(list(family.values()), build_schedule(sched_spec, count))
     if transform.width != width:
-        raise UsageError(f"block width {width} does not match the maps' width {transform.width}")
+        raise ValueError(f"block width {width} does not match the maps' width {transform.width}")
     apply = getattr(transform, f"{args.mode}_chunks")
     name = "stream.bits" if args.mode == "transform" else "recovered.bits"
     with open(args.input, "rb") as infile:
         chunks = iter(functools.partial(infile.read, CHUNK_GROUPS * width), b"")
-        _write_atomic(out / name, apply(chunks))
+        _write_run(
+            args.out,
+            "stream",
+            {
+                "mode": args.mode,
+                "in": args.input,
+                "maps": args.maps,
+                "width": width,
+                "count": count,
+                "sched": sched_spec,
+            },
+            None,
+            {
+                "stream": (name, apply(chunks)),
+                "meta": (name + ".meta", f"n={width} m={count} sched={sched_spec}\n"),
+            },
+        )
         nbits = 8 * infile.tell()
-
-    _write_atomic(out / (name + ".meta"), f"n={width} m={count} sched={sched_spec}\n")
-    _write_manifest(
-        out,
-        "stream",
-        {
-            "mode": args.mode,
-            "in": args.input,
-            "maps": args.maps,
-            "width": width,
-            "count": count,
-            "sched": sched_spec,
-        },
-        None,
-        {"stream": name, "meta": name + ".meta"},
-    )
-    print(f"wrote {out / name} ({nbits} bits)")
+    print(f"wrote {Path(args.out) / name} ({nbits} bits)")
     return EXIT_PASS
 
 
@@ -339,6 +319,7 @@ def cmd_stream(args) -> int:
 # wiring
 
 
+@functools.cache  # built once per process: each build costs about a millisecond
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynls",
@@ -357,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--dls",
         default="xorfam",
-        help="map family: xorfam[:seed], affine:<seed>, file:<dir> "
+        help="map family: xorfam[:<seed>], affine:<seed>, file:<dir> "
         "(default: xorfam, seeded from --rng when seeded)",
     )
     run.add_argument("--steps", type=int, required=True, help="step budget")
     run.add_argument(
         "--rng",
         default="os",
-        help="bit source: seeded:<u64>, os, qrng:<url> (default: os)",
+        help="bit source: seeded:<u64>, os, qrng[:<url>] (default: os)",
     )
     run.add_argument("--out", required=True, help="artifact directory")
     run.set_defaults(func=cmd_run_utm)
@@ -374,10 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="check that every (state, bit) observable distribution matches",
     )
     sec.add_argument("--dls", default="xorfam", help="map family spec")
-    sec.add_argument("--width", type=int, help="map width (derived families)")
-    sec.add_argument(
-        "--states", type=int, default=12, help="number of derived states (default 12)"
-    )
+    sec.add_argument("--width", type=int, help="map width (a file: family's own width)")
+    sec.add_argument("--states", type=int, help="number of derived states (default 12)")
     sec.add_argument(
         "--sample",
         type=int,
@@ -388,18 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     sec.set_defaults(func=cmd_verify_secrecy)
 
     st = sub.add_parser("stream", help="block-transform a bit stream file")
-    st.add_argument("mode", choices=("transform", "recover"))
-    st.add_argument("--in", dest="input", required=True, help="input stream file")
-    st.add_argument(
-        "--maps", required=True, help="xorfam[:seed], affine:<seed>, file:<dir>"
-    )
-    st.add_argument("--width", type=int, help="block width (transform)")
-    st.add_argument("--count", type=int, help="number of maps (transform)")
-    st.add_argument(
-        "--sched", help="periodic:<p> or trace:<machine file> (transform)"
-    )
-    st.add_argument("--out", required=True, help="artifact directory")
-    st.set_defaults(func=cmd_stream)
+    modes = st.add_subparsers(dest="mode", metavar="<mode>", required=True)
+    transform = modes.add_parser("transform", help="apply the maps block by block")
+    recover = modes.add_parser("recover", help="invert a transform, shaped by its sidecar")
+    for mode in (transform, recover):
+        mode.add_argument("--in", dest="input", required=True, help="input stream file")
+        mode.add_argument("--maps", required=True, help="xorfam[:<seed>], affine:<seed>, file:<dir>")
+        mode.add_argument("--out", required=True, help="artifact directory")
+        mode.set_defaults(func=cmd_stream)
+    transform.add_argument("--width", type=int, required=True, help="block width")
+    transform.add_argument("--count", type=int, required=True, help="number of maps")
+    transform.add_argument("--sched", required=True, help="periodic:<p> or trace:<file>")
     return parser
 
 

@@ -179,7 +179,7 @@ class InvarianceReport:
                 f"step={v.step} state={_fmt_state(v.state)} kind={v.kind} "
                 f"expected={v.expected_bit} decoded={v.decoded_bit}"
             )
-        return "\n".join(lines)
+        return "".join(line + "\n" for line in lines)
 
 
 def _fmt_state(state: Any) -> str:
@@ -275,7 +275,7 @@ class SecrecyReport:
         lines.append(
             f"max_tv={self.max_tv.numerator}/{self.max_tv.denominator} pass={verdict}"
         )
-        return "\n".join(lines)
+        return "".join(line + "\n" for line in lines)
 
 
 def verify_perfect_secrecy(family: Mapping[Any, InvertibleMap]) -> SecrecyReport:
@@ -359,7 +359,7 @@ class SampledSecrecyReport:
         ]
         verdict = "true" if self.passed else "false"
         lines.append(f"samples={self.samples} alpha={self.alpha} pass={verdict}")
-        return "\n".join(lines)
+        return "".join(line + "\n" for line in lines)
 
 
 def sampled_secrecy_report(

@@ -244,6 +244,75 @@ def test_bad_rng_spec(counter_tm, tmp_path, capsys):
     assert code == 2
 
 
+def _stuck_tm(tmp_path):
+    # the blank tape starts the machine on (0, 0), which has no rule
+    path = tmp_path / "stuck.tm"
+    path.write_text("states=2\nalphabet=2\n1 0 -> 0 0 R\n")
+    return str(path)
+
+
+_FAMILIES = "expected one of xorfam[:<seed>], affine:<seed>, file:<dir>"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run-utm", "--tm", "COUNTER", "--steps", "5", "--dls", "bogus", "--out", "OUT"],
+         f"bad spec 'bogus'; {_FAMILIES}"),
+        # no step to map, so only an early check sees the spec
+        (["run-utm", "--tm", "STUCK", "--steps", "5", "--dls", "bogus", "--out", "OUT"],
+         f"bad spec 'bogus'; {_FAMILIES}"),
+        (["run-utm", "--tm", "COUNTER", "--steps", "5", "--rng", "dice", "--out", "OUT"],
+         "bad spec 'dice'; expected one of seeded:<u64>, os, qrng[:<url>]"),
+        (["run-utm", "--tm", "COUNTER", "--steps", "5", "--rng", "seeded:x", "--out", "OUT"],
+         "'seeded:x': <u64> must be an integer"),
+        (["stream", "transform", "--in", "COUNTER", "--maps", "xorfam", "--width", "8",
+          "--count", "2", "--sched", "weekly", "--out", "OUT"],
+         "bad spec 'weekly'; expected one of periodic:<p>, trace:<file>"),
+        (["stream", "transform", "--in", "MISSING", "--maps", "xorfam", "--width", "8",
+          "--count", "2", "--sched", "periodic:2", "--out", "OUT"], "No such file"),
+        (["stream", "recover", "--in", "MISSING", "--maps", "xorfam", "--out", "OUT"],
+         "No such file"),
+        (["verify-secrecy", "--dls", "affine", "--width", "4", "--out", "OUT"],
+         f"bad spec 'affine'; {_FAMILIES}"),
+    ],
+    ids=["dls", "dls-no-steps", "rng", "seed", "sched", "transform-no-input",
+         "recover-no-input", "secrecy"],
+)
+def test_failed_inputs_leave_no_out_directory(tmp_path, counter_tm, capsys, argv, message):
+    out = tmp_path / "out"
+    spots = {"COUNTER": counter_tm, "STUCK": _stuck_tm(tmp_path),
+             "MISSING": str(tmp_path / "missing.bits"), "OUT": str(out)}
+    assert main([spots.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dynls:") and message in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-utm", "--tm", "COUNTER", "--steps", "5", "--rng", "qrng:", "--out", "OUT"],
+        ["run-utm", "--tm", "COUNTER", "--steps", "5", "--dls", "file:", "--out", "OUT"],
+        ["verify-secrecy", "--dls", "xorfam:", "--width", "4", "--out", "OUT"],
+        ["stream", "transform", "--in", "COUNTER", "--maps", "affine:", "--width", "8",
+         "--count", "2", "--sched", "periodic:2", "--out", "OUT"],
+        ["stream", "transform", "--in", "COUNTER", "--maps", "xorfam", "--width", "8",
+         "--count", "2", "--sched", "trace:", "--out", "OUT"],
+    ],
+    ids=["qrng", "file", "xorfam", "affine", "trace"],
+)
+def test_every_spec_needs_a_value_after_its_colon(tmp_path, counter_tm, capsys, monkeypatch,
+                                                  argv):
+    # an empty qrng: no longer falls back to the environment; a bare qrng does
+    monkeypatch.setenv("DLS_QRNG_URL", "http://127.0.0.1:9/entropy")
+    out = tmp_path / "out"
+    spots = {"COUNTER": counter_tm, "OUT": str(out)}
+    assert main([spots.get(arg, arg) for arg in argv]) == 2
+    assert "after the colon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_subcommand_prints_usage(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
@@ -280,6 +349,40 @@ def test_verify_secrecy_rejects_mixed_widths(tmp_path, capsys, sample):
     code = main(["verify-secrecy", "--dls", f"file:{mapdir}", *sample])
     assert code == 2
     assert "family mixes widths [6, 8]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--width", "4"], None),
+        (["--width", "9"], "--width 9 does not match the maps' width 4"),
+        (["--states", "5"], "--states does not apply to a file: family"),
+        (["--width", "4", "--states", "2"], "--states does not apply to a file: family"),
+    ],
+    ids=["same-width", "other-width", "states", "states-and-width"],
+)
+def test_verify_secrecy_file_family_sets_width_and_states(tmp_path, capsys, flags, message):
+    mapdir = tmp_path / "maps"
+    mapdir.mkdir()
+    write_map(XorFamily(4, 1, 2, 1), mapdir / "a.map")
+    write_map(XorFamily(4, 3, 4, 0), mapdir / "b.map")
+    out = tmp_path / "o"
+    code = main(["verify-secrecy", "--dls", f"file:{mapdir}", *flags, "--out", str(out)])
+    if message is None:
+        assert code == 0
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert (parameters["width"], parameters["states"]) == (4, 2)
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dynls: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+def test_verify_secrecy_empty_file_family(tmp_path, capsys):
+    (tmp_path / "maps").mkdir()
+    assert main(["verify-secrecy", "--dls", f"file:{tmp_path / 'maps'}", "--width", "4"]) == 2
+    assert capsys.readouterr().err == "dynls: map family is empty\n"
 
 
 def _width_one_dir(tmp_path):
@@ -652,9 +755,42 @@ def test_stream_recover_needs_sidecar(tmp_path, capsys):
 def test_stream_transform_needs_shape_flags(tmp_path, capsys):
     src = tmp_path / "in.bits"
     src.write_bytes(bytes(16))
-    code = main(stream_args("transform", src, tmp_path / "out", maps="xorfam:1"))
-    assert code == 2
+    with pytest.raises(SystemExit) as exit_:
+        main(stream_args("transform", src, tmp_path / "out", maps="xorfam:1"))
+    assert exit_.value.code == 2
     assert "--width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--width", "--count", "--sched"])
+def test_stream_recover_takes_no_shape_flags(tmp_path, capsys, flag):
+    # recover's shape comes from the sidecar alone
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(16))
+    (tmp_path / "in.bits.meta").write_text("n=16 m=2 sched=periodic:2\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        shape = {"--width": 16, "--count": 2, "--sched": "periodic:2"}
+        main(stream_args("recover", src, out, maps="xorfam:1", **{flag[2:]: shape[flag]}))
+    assert exit_.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_stream_schedule_must_be_one_line(tmp_path, counter_tm, capsys, sep):
+    # the sidecar is read with str.splitlines, so each of these would break it
+    machine = tmp_path / f"a{sep}b" / "c.tm"
+    machine.parent.mkdir()
+    machine.write_bytes(Path(counter_tm).read_bytes())
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(40))
+    out = tmp_path / "fwd"
+    argv = stream_args("transform", src, out, maps="affine:3", width=8, count=5,
+                       sched=f"trace:{machine}")
+    assert main(argv) == 2
+    assert "must be one line" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stream_maps_must_match_the_block_width(tmp_path, capsys):
@@ -669,7 +805,7 @@ def test_stream_maps_must_match_the_block_width(tmp_path, capsys):
                        sched="periodic:1")
     assert main(argv) == 2
     assert "block width 4 does not match the maps' width 3" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 _SWAP_ROWS = ("0 1", "1 0", "2 3", "3 2")  # a width-2 perm .map body
