@@ -9,7 +9,6 @@ whose readout firing pattern reproduces the step's physical output.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -362,11 +361,12 @@ class Machine:
 
 
 def trace_to_jsonl(trace: FiringTrace) -> str:
-    lines = [
-        json.dumps({"tick": t, "fired": sorted(trace[t])}, separators=(",", ":"))
+    """One ``{"tick":t,"fired":[names]}`` line per tick, in tick and name
+    order; element names match ``_NAME_RE``, so none needs JSON escaping."""
+    return "".join(
+        '{"tick":%d,"fired":[%s]}\n' % (t, ",".join(['"%s"' % name for name in sorted(trace[t])]))
         for t in sorted(trace)
-    ]
-    return "".join(line + "\n" for line in lines)
+    )
 
 
 # ---------------------------------------------------------------------------

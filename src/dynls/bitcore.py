@@ -332,18 +332,22 @@ class XorFamily(InvertibleMap):
         return _affine_points(self, x)
 
 
+def _affine_columns(m: InvertibleMap) -> tuple[int, list[int]]:
+    """A map affine over GF(2) as m(0) and its columns m(2^i) ^ m(0): the
+    image of x is m(0) XORed with the column of each coordinate set in x."""
+    base = m.apply_int(0)
+    return base, [m.apply_int(1 << i) ^ base for i in range(m.width)]
+
+
 def _affine_table(m: InvertibleMap) -> np.ndarray:
     """Full table of a map affine over GF(2)."""
-    base = m.apply_int(0)
-    return _xor_span(base, [m.apply_int(1 << i) ^ base for i in range(m.width)])
+    return _xor_span(*_affine_columns(m))
 
 
 def _affine_points(m: InvertibleMap, x: np.ndarray) -> np.ndarray:
-    """A map affine over GF(2) applied to an array of points: m(0) XORed
-    with the column m(2^i) ^ m(0) of each coordinate i set in the point,
+    """A map affine over GF(2) applied to an array of points, its columns
     looked up eight coordinates at a time, so the cost follows len(x)."""
-    base = m.apply_int(0)
-    columns = [m.apply_int(1 << i) ^ base for i in range(m.width)]
+    base, columns = _affine_columns(m)
     out = np.full(x.shape, base, dtype=np.int64)
     for lo in range(0, m.width, 8):
         out ^= _xor_span(0, columns[lo : lo + 8])[(x >> lo) & 0xFF]

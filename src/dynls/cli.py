@@ -91,6 +91,10 @@ SCHEDULE_FORMS = {"periodic": ":<p>", "trace": ":<file>"}
 INTEGER_ARGS = ("<u64>", "<seed>", "<p>")
 
 
+def _forms(forms: dict) -> str:
+    return ", ".join(name + shape for name, shape in forms.items())
+
+
 def split_spec(spec: str, forms: dict):
     """A ``kind[:arg]`` spec to (kind, arg), checked against `forms`, which
     maps each kind to "" (no argument), ":<x>" (one) or "[:<x>]" (an optional
@@ -98,8 +102,7 @@ def split_spec(spec: str, forms: dict):
     kind, colon, arg = spec.partition(":")
     form = forms.get(kind)
     if form is None or (bool(colon) != bool(form) and not form.startswith("[")):
-        expected = ", ".join(name + shape for name, shape in forms.items())
-        raise ValueError(f"bad spec {spec!r}; expected one of {expected}")
+        raise ValueError(f"bad spec {spec!r}; expected one of {_forms(forms)}")
     if not colon:
         return kind, None
     placeholder = form.strip("[:]")
@@ -266,9 +269,9 @@ def build_schedule(spec: str, count: int):
 def _read_stream_meta(path: Path):
     """The sidecar's one line, ``n=<width> m=<count> sched=<spec>``; the
     spec runs to the end of the line, so a trace path may hold spaces."""
-    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    head, sep, sched = (lines or [""])[0].partition("sched=")
     try:
+        lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+        head, sep, sched = (lines or [""])[0].partition("sched=")
         fields = _fields(head.split(), ("n", "m"))
         if len(lines) == 1 and sep and len(fields) == 2:
             return int(fields["n"]), int(fields["m"]), sched
@@ -338,14 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--dls",
         default="xorfam",
-        help="map family: xorfam[:<seed>], affine:<seed>, file:<dir> "
-        "(default: xorfam, seeded from --rng when seeded)",
+        help=f"map family: {_forms(FAMILY_FORMS)} (default: xorfam, seeded from --rng when seeded)",
     )
     run.add_argument("--steps", type=int, required=True, help="step budget")
     run.add_argument(
         "--rng",
         default="os",
-        help="bit source: seeded:<u64>, os, qrng[:<url>] (default: os)",
+        help=f"bit source: {_forms(RNG_FORMS)} (default: os)",
     )
     run.add_argument("--out", required=True, help="artifact directory")
     run.set_defaults(func=cmd_run_utm)
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-secrecy",
         help="check that every (state, bit) observable distribution matches",
     )
-    sec.add_argument("--dls", default="xorfam", help="map family spec")
+    sec.add_argument("--dls", default="xorfam", help=f"map family: {_forms(FAMILY_FORMS)}")
     sec.add_argument("--width", type=int, help="map width (a file: family's own width)")
     sec.add_argument("--states", type=int, help="number of derived states (default 12)")
     sec.add_argument(
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="sample count per (state, bit); switches to the chi-square mode",
     )
-    sec.add_argument("--rng", default="seeded:0", help="seed source for sampling")
+    sec.add_argument("--rng", default="seeded:0", help=f"sampling seed: {_forms(RNG_FORMS)}")
     sec.add_argument("--out", help="optional artifact directory")
     sec.set_defaults(func=cmd_verify_secrecy)
 
@@ -372,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     recover = modes.add_parser("recover", help="invert a transform, shaped by its sidecar")
     for mode in (transform, recover):
         mode.add_argument("--in", dest="input", required=True, help="input stream file")
-        mode.add_argument("--maps", required=True, help="xorfam[:<seed>], affine:<seed>, file:<dir>")
+        mode.add_argument("--maps", required=True, help=f"map family: {_forms(FAMILY_FORMS)}")
         mode.add_argument("--out", required=True, help="artifact directory")
         mode.set_defaults(func=cmd_stream)
     transform.add_argument("--width", type=int, required=True, help="block width")
     transform.add_argument("--count", type=int, required=True, help="number of maps")
-    transform.add_argument("--sched", required=True, help="periodic:<p> or trace:<file>")
+    transform.add_argument("--sched", required=True, help=f"schedule: {_forms(SCHEDULE_FORMS)}")
     return parser
 
 

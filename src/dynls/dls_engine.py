@@ -11,9 +11,9 @@ the output are the observable part.
 Two verification routes live here.  Invariance checks that decoding each
 physical state with its step's map always lands the bit back on the correct
 side of the level set.  Secrecy checks that the observable part carries no
-information about the bit: exactly (integer histograms over the full random
-space, compared by total variation in exact rational arithmetic) or sampled
-(chi-square against uniform for large widths).
+information about the bit: exactly, by total variation in rational arithmetic
+(GF(2) cosets for affine families, integer histograms over the full random
+space for any other), or sampled (chi-square against uniform).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bitcore import BitVec, BoolFn, InvertibleMap, XorFamily, _check_width, random_affine_invertible
+from .bitcore import Affine, BitVec, BoolFn, InvertibleMap, XorFamily, _affine_columns
+from .bitcore import _check_width, random_affine_invertible
 
 
 def __getattr__(name: str):
@@ -235,7 +236,6 @@ def verify_invariance(
 # ---------------------------------------------------------------------------
 
 
-MAX_EXACT_WIDTH = 20
 SAMPLE_CHUNK = 1 << 20  # random parts a sampled histogram draws at a time
 
 
@@ -246,15 +246,46 @@ def secrecy_distribution(m: InvertibleMap) -> tuple[np.ndarray, np.ndarray]:
     lands the observable part on v.  Counts are exact integers.  The map's
     table is built once and masked in place.
     """
-    if m.width > MAX_EXACT_WIDTH:
-        raise ValueError(
-            f"width {m.width} too large for exhaustive enumeration "
-            f"(cap {MAX_EXACT_WIDTH}); use the sampled mode"
-        )
     half = 1 << (m.width - 1)
     obs = m.to_table_array()
     obs &= half - 1
     return np.bincount(obs[:half], minlength=half), np.bincount(obs[half:], minlength=half)
+
+
+def _gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """A basis of the vectors' span over GF(2), distinct leading bits in
+    descending order; its length is the span's dimension."""
+    basis: list[int] = []
+    for v in vectors:
+        for row in basis:
+            v = min(v, v ^ row)  # clears row's leading bit from v
+        if v:
+            basis = sorted([*basis, v], reverse=True)
+    return basis
+
+
+def _observable_cosets(m: InvertibleMap) -> list[tuple[int, list[int]]]:
+    """An affine map's observable part under bit b is uniform on o_b + V: o_b is
+    m(b.2^(n-1)), V spans the random coordinates' columns, both cut to n-1 bits."""
+    base, columns = _affine_columns(m)
+    low = (1 << (m.width - 1)) - 1
+    span = _gf2_basis(c & low for c in columns[:-1])
+    return [(base & low, span), ((base ^ columns[-1]) & low, span)]
+
+
+def _coset_tv(coset: tuple[int, list[int]], ref: tuple[int, list[int]]) -> Fraction:
+    """Total variation between the uniform laws on two cosets: 1 when they do
+    not meet, else 1 - 2^(dim V∩V_ref - max(dim V, dim V_ref)), which is
+    1 - 2^(min(dim V, dim V_ref) - dim(V + V_ref))."""
+    (o, v), (o_ref, v_ref) = coset, ref
+    both = _gf2_basis(v + v_ref)
+    if len(_gf2_basis([*both, o ^ o_ref])) > len(both):
+        return Fraction(1)
+    return 1 - Fraction(1, 1 << (len(both) - min(len(v), len(v_ref))))
+
+
+def _histogram_tv(hist: np.ndarray, ref: np.ndarray) -> Fraction:
+    return Fraction(int(np.abs(hist - ref).sum()), 2 * len(hist))
 
 
 @dataclass(frozen=True)
@@ -279,17 +310,20 @@ class SecrecyReport:
 
 
 def verify_perfect_secrecy(family: Mapping[Any, InvertibleMap]) -> SecrecyReport:
-    """Exact secrecy check: all (state, bit) observable histograms must be
-    identical, measured by total variation against the first one.  Each
-    map's pair is compared as it is made, so at most three are held."""
+    """Exact secrecy check: all (state, bit) observable laws must be identical,
+    measured by total variation against the first one.  An affine family
+    (`Affine`, `XorFamily`) is decided by cosets with no 2^n table; any other
+    compares `secrecy_distribution` histograms map by map, at most three held."""
     width = _family_width(family.values())
-    half = 1 << (width - 1)
+    affine = all(isinstance(m, (Affine, XorFamily)) for m in family.values())
+    laws = _observable_cosets if affine else secrecy_distribution
+    distance = _coset_tv if affine else _histogram_tv
     ref = None
     tvs = {}
     for state, m in family.items():
-        for b, hist in enumerate(secrecy_distribution(m)):
-            ref = hist if ref is None else ref
-            tvs[state, b] = Fraction(int(np.abs(hist - ref).sum()), 2 * half)
+        for b, law in enumerate(laws(m)):
+            ref = law if ref is None else ref
+            tvs[state, b] = distance(law, ref)
     max_tv = max(tvs.values())
     return SecrecyReport(width, tvs, max_tv, max_tv == 0)
 

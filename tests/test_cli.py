@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -313,6 +314,27 @@ def test_every_spec_needs_a_value_after_its_colon(tmp_path, counter_tm, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, forms",
+    [
+        (["run-utm"], ["FAMILY_FORMS", "RNG_FORMS"]),
+        (["verify-secrecy"], ["FAMILY_FORMS", "RNG_FORMS"]),
+        (["stream", "transform"], ["FAMILY_FORMS", "SCHEDULE_FORMS"]),
+        (["stream", "recover"], ["FAMILY_FORMS"]),
+    ],
+    ids=["run-utm", "verify-secrecy", "stream-transform", "stream-recover"],
+)
+def test_help_lists_every_spec_form(command, forms, capsys, monkeypatch):
+    monkeypatch.setitem(cli.FAMILY_FORMS, "fresh", ":<x>")  # a form added to a dict
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    with pytest.raises(SystemExit):
+        main([*command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for name in forms:
+        for kind, shape in getattr(cli, name).items():
+            assert kind + shape in help_text
+
+
 def test_no_subcommand_prints_usage(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
@@ -499,10 +521,19 @@ def test_verify_secrecy_needs_states_and_samples(flags, capsys):
     assert capsys.readouterr().err.startswith("dynls:")
 
 
-def test_verify_secrecy_width_cap_needs_sample(capsys):
+def test_verify_secrecy_exact_mode_has_no_width_cap(capsys):
     code = main(["verify-secrecy", "--dls", "xorfam", "--width", "21"])
-    assert code == 2
-    assert "sampled mode" in capsys.readouterr().err
+    assert code == 0
+    assert capsys.readouterr().out.endswith("max_tv=0/1 pass=true\n")
+
+
+@pytest.mark.parametrize("dls, code", [("affine:5", 1), ("xorfam:5", 0)])
+def test_exact_affine_families_at_width_24_in_under_a_second(dls, code, capsys):
+    start = time.perf_counter()
+    argv = ["verify-secrecy", "--dls", dls, "--width", "24", "--states", "12"]
+    assert main(argv) == code
+    assert time.perf_counter() - start < 1.0
+    assert len(capsys.readouterr().out.splitlines()) == 2 * 12 + 1
 
 
 def test_verify_secrecy_sampled_mode(capsys):
@@ -743,6 +774,15 @@ def test_stream_memory_follows_chunks_not_file(tmp_path):
     # the peak holds one chunk's buffers and the tables, whatever the length
     assert peaks[32] < peaks[8] + chunk
     assert peaks[32] < 32 * chunk
+
+
+def test_sidecar_that_is_not_utf8_is_named(tmp_path, capsys):
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(16))
+    meta = tmp_path / "in.bits.meta"
+    meta.write_bytes(b"\xffn=16 m=2 sched=periodic:2\n")
+    assert main(stream_args("recover", src, tmp_path / "out", maps="xorfam:1")) == 2
+    assert capsys.readouterr().err.startswith(f"dynls: {meta}: 'utf-8' codec can't decode")
 
 
 def test_stream_recover_needs_sidecar(tmp_path, capsys):

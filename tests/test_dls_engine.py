@@ -331,9 +331,70 @@ def test_single_state_family_is_bit_independent():
     assert report.max_tv == 0
 
 
-def test_exact_mode_width_capped():
-    with pytest.raises(ValueError, match="sampled"):
-        secrecy_distribution(XorFamily(21, 0, 0, 0))
+def _enumerated_tvs(family):
+    """Each row's total variation to the first row, from full histograms."""
+    rows = [(state, b, hist) for state, m in family.items()
+            for b, hist in enumerate(secrecy_distribution(m))]
+    ref = rows[0][2]
+    return {(state, b): Fraction(int(np.abs(hist - ref).sum()), 2 * len(ref))
+            for state, b, hist in rows}
+
+
+def _hidden_bit_swapped_in(width, seed):
+    """An affine map that swaps the hidden bit with observable coordinate 0,
+    then mixes the observable coordinates by a random invertible map: its
+    observable block is singular (rank width-2), and its two bits give
+    disjoint observable cosets."""
+    mix = random_affine_invertible(width - 1, seed)
+    swap = [1 << (width - 1), *(1 << i for i in range(1, width - 1))]  # observable rows
+    rows = [0] * (width - 1)
+    for i, row in enumerate(mix.rows):
+        for j in range(width - 1):
+            rows[i] ^= swap[j] if row >> j & 1 else 0
+    return Affine(width, (*rows, 1), mix.offset | (seed & 1) << (width - 1))
+
+
+def test_planted_cosets_hand_values():
+    leak = _hidden_bit_swapped_in(3, seed=0)
+    assert verify_perfect_secrecy({"leak": leak}).tvs[("leak", 1)] == 1  # disjoint cosets
+    report = verify_perfect_secrecy({"id": Affine.identity(3), "leak": leak})
+    assert report.tvs[("leak", 0)] == report.tvs[("leak", 1)] == Fraction(1, 2)
+    assert report.tvs == _enumerated_tvs({"id": Affine.identity(3), "leak": leak})
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_coset_certificate_matches_enumeration(data):
+    width = data.draw(st.integers(2, 12), label="width")
+    kinds = data.draw(st.lists(st.sampled_from(["affine", "xorfam", "leak"]), min_size=1,
+                               max_size=5), label="kinds")
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(kinds),
+                               max_size=len(kinds)), label="seeds")
+    build = {
+        "affine": random_affine_invertible,
+        "xorfam": lambda w, seed: derived_xor_family(w, [0], seed)[0],
+        "leak": _hidden_bit_swapped_in,
+    }
+    family = {i: build[kind](width, seed) for i, (kind, seed) in enumerate(zip(kinds, seeds))}
+    report = verify_perfect_secrecy(family)
+    assert report.tvs == _enumerated_tvs(family)
+    assert report.max_tv == max(report.tvs.values())
+
+
+def test_exact_mode_has_no_width_cap():
+    assert verify_perfect_secrecy({0: XorFamily(21, 5, 9, 1)}).passed
+    hists = secrecy_distribution(XorFamily(21, 0, 0, 0))  # enumeration has no cap either
+    assert [int(h.sum()) for h in hists] == [1 << 20, 1 << 20]
+
+
+@pytest.mark.parametrize("derive", [derived_affine_family, derived_xor_family])
+def test_exact_affine_families_build_no_table_at_width_24(derive, monkeypatch):
+    family = derive(24, list(range(12)), 5)
+    for cls in (Affine, XorFamily):
+        monkeypatch.setattr(cls, "to_table_array", lambda m: pytest.fail("table built"))
+    report = verify_perfect_secrecy(family)
+    assert len(report.tvs) == 24
+    assert report.passed == (derive is derived_xor_family)
 
 
 # ---------------------------------------------------------------------------
