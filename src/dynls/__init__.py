@@ -4,8 +4,8 @@ A logical level set (the preimage of a boolean function at a value) is kept
 invariant while its physical encoding is recomputed at every step by an
 invertible map selected per step and fed fresh random bits.  This package
 provides the bit-level core, the per-step realization engine with exact
-perfect-secrecy verification, a block-wise invertible stream transform with
-its recovery oracle, a Turing machine driver whose instruction trace selects
+perfect-secrecy verification, a block-wise stream transform that the inverse
+maps undo, a Turing machine driver whose instruction trace selects
 the maps, and a minimal self-modifying active element machine that realizes
 each step as a firing pattern.
 """

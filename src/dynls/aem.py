@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .bitcore import BitVec, InvertibleMap, XorFamily
+from .dls_engine import _fmt_state
 from .tm import TmProgram, instruction_index, transition_components
 
 
@@ -559,7 +560,7 @@ class UtmRunReport:
         ]
         for v in self.violations:
             lines.append(
-                f"step={v.step} state={v.state!r} "
+                f"step={v.step} state={_fmt_state(v.state)} "
                 f"expected={v.expected} got={v.got}"
             )
         return "".join(line + "\n" for line in lines)

@@ -218,11 +218,7 @@ class InvertibleMap:
     def to_table_array(self) -> np.ndarray:
         """Full permutation table as a fresh int64 array (vectorized paths),
         which the caller may change in place."""
-        return np.fromiter(
-            (self.apply_int(x) for x in range(1 << self.width)),
-            dtype=np.int64,
-            count=1 << self.width,
-        )
+        raise NotImplementedError
 
     def apply_points(self, x: np.ndarray) -> np.ndarray:
         """Images of an int64 array of points (vectorized paths)."""

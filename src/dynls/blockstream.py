@@ -14,6 +14,7 @@ and ORed back in.  Files go through in chunks, so memory stays bounded.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,15 +28,17 @@ MAX_STREAM_WIDTH = 16
 CHUNK_GROUPS = 1 << 13
 
 
+@dataclass(frozen=True, repr=False, slots=True)
 class BitStream:
     """Immutable bit sequence, packed: bit i is bit i % 8 of byte i // 8 of
     ``data``.  It keeps the first ``nbits`` bits of the bytes it is given,
     all of them by default, and zeroes the padding bits of the last byte."""
 
-    __slots__ = ("data", "nbits")
+    data: bytes
+    nbits: int | None = None
 
-    def __init__(self, data: bytes, nbits: int | None = None) -> None:
-        data = bytes(data)
+    def __post_init__(self) -> None:
+        data, nbits = bytes(self.data), self.nbits
         if nbits is None:
             nbits = 8 * len(data)
         if not 0 <= nbits <= 8 * len(data):
@@ -45,9 +48,6 @@ class BitStream:
             data = data[:-1] + bytes([data[-1] & (1 << nbits % 8) - 1])
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nbits", nbits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitStream is immutable")
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitStream":
@@ -63,14 +63,6 @@ class BitStream:
     def __len__(self) -> int:
         return self.nbits
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitStream):
-            return NotImplemented
-        return (self.nbits, self.data) == (other.nbits, other.data)
-
-    def __hash__(self):
-        return hash((self.nbits, self.data))
-
     def __repr__(self) -> str:
         head = "".join(str(self.data[i // 8] >> i % 8 & 1) for i in range(min(len(self), 32)))
         tail = "..." if len(self) > 32 else ""
@@ -81,8 +73,10 @@ class StreamTransform:
     """Applies a scheduled family of invertible maps block by block.
 
     Block j goes through ``maps[schedule.state_at(j)]``, so every schedule
-    value must index ``maps``.  The ``*_chunks`` methods take a packed
-    stream as byte chunks, each of whole blocks, and yield uint8 arrays.
+    value must index ``maps``.  The transform of the inverse maps under the
+    same schedule, ``StreamTransform([m.invert() for m in maps], schedule)``,
+    recovers the stream.  :meth:`transform_chunks` takes a packed stream as
+    byte chunks, each of whole blocks, and yields uint8 arrays.
     """
 
     def __init__(self, maps: Sequence[InvertibleMap], schedule: Schedule) -> None:
@@ -95,14 +89,13 @@ class StreamTransform:
             raise ValueError("schedule is empty")
         if any(not 0 <= v < len(maps) for v in schedule.values):
             raise ValueError("schedule names an index outside the family")
-        self._fwd = np.concatenate([m.to_table_array().astype(np.uint16) for m in maps])
-        self._inv = np.concatenate([m.invert().to_table_array().astype(np.uint16) for m in maps])
+        self._tables = np.concatenate([m.to_table_array().astype(np.uint16) for m in maps])
         # where each scheduled map's table starts; the kernel tiles these
         self._starts = np.array(schedule.values, dtype=np.intp) << self.width
         self._period = self._starts.size
         self._byte, self._shift = np.divmod(np.arange(8, dtype=np.uint32) * self.width, 8)
 
-    def _kernel(self, data: np.ndarray, first: int, tables: np.ndarray) -> np.ndarray:
+    def _kernel(self, data: np.ndarray, first: int) -> np.ndarray:
         """Map the packed blocks in ``data``, the first being block ``first``."""
         n, groups = self.width, -(-data.size // self.width)
         at = first % self._period
@@ -113,36 +106,24 @@ class StreamTransform:
         buf[: data.size] = data
         windows = np.ndarray((groups, n), "<u4", buf, strides=(n, 1))[:, self._byte] >> self._shift
         index = self._starts[at : at + 8 * groups].reshape(groups, 8) + (windows & (1 << n) - 1)
-        words = tables[index].astype(np.uint32) << self._shift
+        words = self._tables[index].astype(np.uint32) << self._shift
         out = np.zeros((groups, n + 3), np.uint8)
         view = np.ndarray((groups, n), "<u4", out, strides=(n + 3, 1))
         for i, byte in enumerate(self._byte.tolist()):
             view[:, byte] |= words[:, i]
         return out[:, :n].reshape(-1)[: data.size]
 
-    def _apply(self, stream: BitStream, tables: np.ndarray) -> BitStream:
+    def transform(self, stream: BitStream) -> BitStream:
         if len(stream) % self.width:
             raise ValueError(f"stream length {len(stream)} not a multiple of {self.width}")
-        out = self._kernel(np.frombuffer(stream.data, np.uint8), 0, tables)
+        out = self._kernel(np.frombuffer(stream.data, np.uint8), 0)
         return BitStream(out.tobytes(), len(stream))
 
-    def _apply_chunks(self, chunks: Iterable[bytes], tables: np.ndarray) -> Iterator[np.ndarray]:
+    def transform_chunks(self, chunks: Iterable[bytes]) -> Iterator[np.ndarray]:
         nbits = 0
         for chunk in chunks:
             data = np.frombuffer(chunk, np.uint8)
-            yield self._kernel(data, nbits // self.width, tables)
+            yield self._kernel(data, nbits // self.width)
             nbits += 8 * data.size
             if nbits % self.width:  # so the next chunk, or the end, comes mid-block
                 raise ValueError(f"stream of {nbits} bits is not divisible by width {self.width}")
-
-    def transform(self, stream: BitStream) -> BitStream:
-        return self._apply(stream, self._fwd)
-
-    def recover(self, stream: BitStream) -> BitStream:
-        return self._apply(stream, self._inv)
-
-    def transform_chunks(self, chunks: Iterable[bytes]) -> Iterator[np.ndarray]:
-        return self._apply_chunks(chunks, self._fwd)
-
-    def recover_chunks(self, chunks: Iterable[bytes]) -> Iterator[np.ndarray]:
-        return self._apply_chunks(chunks, self._inv)

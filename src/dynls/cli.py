@@ -28,7 +28,7 @@ from .dls_engine import (
     verify_perfect_secrecy,
 )
 from .rand import OsEntropySource, QrngSource, SeededSource, SourceFailure, derive_seed64
-from .tm import instruction_trace, read_machine
+from .tm import instruction_index, instruction_trace, read_machine
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -263,7 +263,7 @@ def build_schedule(spec: str, count: int):
     pairs = instruction_trace(program, config, TRACE_SCHEDULE_HORIZON)
     if not pairs:
         raise ValueError("schedule machine halts before its first step")
-    return Schedule((4 * q + a) % count for q, a in pairs)
+    return Schedule(instruction_index(q, a) % count for q, a in pairs)
 
 
 def _read_stream_meta(path: Path):
@@ -288,11 +288,12 @@ def cmd_stream(args) -> int:
     if count < 1:
         raise ValueError(f"map count must be >= 1, got {count}")
 
-    family = family_for_states(args.maps, width, range(count), 0)
-    transform = StreamTransform(list(family.values()), build_schedule(sched_spec, count))
+    maps = list(family_for_states(args.maps, width, range(count), 0).values())
+    if args.mode == "recover":
+        maps = [m.invert() for m in maps]
+    transform = StreamTransform(maps, build_schedule(sched_spec, count))
     if transform.width != width:
         raise ValueError(f"block width {width} does not match the maps' width {transform.width}")
-    apply = getattr(transform, f"{args.mode}_chunks")
     name = "stream.bits" if args.mode == "transform" else "recovered.bits"
     with open(args.input, "rb") as infile:
         chunks = iter(functools.partial(infile.read, CHUNK_GROUPS * width), b"")
@@ -309,7 +310,7 @@ def cmd_stream(args) -> int:
             },
             None,
             {
-                "stream": (name, apply(chunks)),
+                "stream": (name, transform.transform_chunks(chunks)),
                 "meta": (name + ".meta", f"n={width} m={count} sched={sched_spec}\n"),
             },
         )

@@ -13,11 +13,8 @@ here ever falls back to a different generator silently.
 
 from __future__ import annotations
 
-import http.client
 import os
 import random
-import urllib.error
-import urllib.request
 
 from .bitcore import MAX_WIDTH, BitVec
 
@@ -105,6 +102,10 @@ class QrngSource(BitSource):
         self.max_retries = max_retries
 
     def _more_bytes(self) -> bytes:
+        import http.client  # load on use: only this source needs the HTTP stack
+        import urllib.error
+        import urllib.request
+
         failures = 0
         while True:
             try:

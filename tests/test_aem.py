@@ -678,6 +678,38 @@ def test_run_utm_observables_fill_the_range():
     assert all(0 <= o < 2**14 for o in report.observables)
 
 
+class _OffByOne(XorFamily):
+    """A planted fault: the engine's image has coordinate 0 flipped, while
+    compile_step still wires the masks, so no readout can match it."""
+
+    def apply_int(self, x: int) -> int:
+        return super().apply_int(x) ^ 1
+
+
+def test_run_utm_reports_every_mismatch_as_key_value_tokens():
+    program, config = endless_counter()
+    sched = Schedule(instruction_trace(program, config, 20))
+    states = sorted(set(sched.values))
+    family = derived_xor_family(15, states, seed=4)
+    dls = DlsDecomposition(
+        family={s: _OffByOne(m.width, m.mask0, m.mask1, m.flip) for s, m in family.items()},
+        scheduler=sched,
+        source=SeededSource(4),
+    )
+    _, report = run_utm_realization(program, dls, steps=20)
+    assert not report.ok
+    assert [v.step for v in report.violations] == list(range(20))
+    assert all(v.got.value ^ v.expected.value == 1 for v in report.violations)
+    lines = report.to_text().splitlines()
+    assert lines[1] == "violations=20"
+    assert len(lines) == 3 + 20
+    for line in lines:
+        fields = [token.partition("=") for token in line.split()]
+        assert all(key and sep and value for key, sep, value in fields), line
+    q, a = sched.values[0]
+    assert lines[3].startswith(f"step=0 state=({q},{a}) expected=")
+
+
 def test_run_utm_pattern_variety_regression():
     """Seed-pinned long run: the observable pattern changes on every
     single step, and the distinct count sits where 1000 uniform 14-bit

@@ -20,6 +20,11 @@ def _reversal(width):
     return permute_coordinates(width, list(reversed(range(width))))
 
 
+def _inverse(maps, schedule):
+    """The recovering transform: the inverse maps under the same schedule."""
+    return StreamTransform([m.invert() for m in maps], schedule)
+
+
 def test_reversal_hand_example():
     xf = StreamTransform([_reversal(3)], Schedule(range(1)))
     out = xf.transform(BitStream.from_bits([1, 1, 0, 0, 0, 1]))
@@ -73,24 +78,27 @@ def test_transform_recover_roundtrip(data):
     )
     xf = StreamTransform(maps, Schedule(sched_vals))
     stream = BitStream.from_bits(bits)
-    assert xf.recover(xf.transform(stream)) == stream
+    assert _inverse(maps, Schedule(sched_vals)).transform(xf.transform(stream)) == stream
 
 
 def test_identity_maps_pass_through():
     xf = StreamTransform([Affine.identity(4)], Schedule(range(1)))
     stream = BitStream.from_bits([1, 0, 1, 1, 0, 0, 1, 0])
     assert xf.transform(stream) == stream
-    assert xf.recover(stream) == stream
+    assert _inverse([Affine.identity(4)], Schedule(range(1))).transform(stream) == stream
 
 
 def test_double_transform_recovers_in_reverse_order():
     fam_a = derived_xor_family(5, list(range(3)), seed=21)
     fam_b = derived_xor_family(5, list(range(4)), seed=22)
-    outer = StreamTransform([fam_a[i] for i in range(3)], Schedule(range(3)))
-    inner = StreamTransform([fam_b[i] for i in range(4)], Schedule(range(4)))
+    maps_a, maps_b = [fam_a[i] for i in range(3)], [fam_b[i] for i in range(4)]
+    outer = StreamTransform(maps_a, Schedule(range(3)))
+    inner = StreamTransform(maps_b, Schedule(range(4)))
     stream = BitStream.from_bits([1, 0, 0, 1, 1] * 8)
     doubled = outer.transform(inner.transform(stream))
-    assert inner.recover(outer.recover(doubled)) == stream
+    undo_outer = _inverse(maps_a, Schedule(range(3)))
+    undo_inner = _inverse(maps_b, Schedule(range(4)))
+    assert undo_inner.transform(undo_outer.transform(doubled)) == stream
 
 
 def test_transform_is_block_local():
@@ -125,8 +133,8 @@ def test_recovery_with_wrong_schedule_differs():
     maps = [XorFamily(4, 0, 0, 0), XorFamily(4, 5, 5, 0)]
     stream = BitStream.from_bits([0] * 16)
     enc = StreamTransform(maps, Schedule(range(2))).transform(stream)
-    bad = StreamTransform(maps, Schedule([0])).recover(enc)
-    good = StreamTransform(maps, Schedule(range(2))).recover(enc)
+    bad = _inverse(maps, Schedule([0])).transform(enc)
+    good = _inverse(maps, Schedule(range(2))).transform(enc)
     assert good == stream
     assert bad != stream
 
@@ -137,7 +145,7 @@ def test_large_stream_roundtrip_exact():
     xf = StreamTransform(maps, Schedule(range(6)))
     rng = np.random.default_rng(9)
     stream = BitStream.from_bits(rng.integers(0, 2, size=15 * 7000, dtype=np.uint8))
-    assert xf.recover(xf.transform(stream)) == stream
+    assert _inverse(maps, Schedule(range(6))).transform(xf.transform(stream)) == stream
 
 
 def _block_oracle(maps, values, bits, width, first=0, inverse=False):
@@ -172,7 +180,8 @@ def test_packed_kernel_matches_block_oracle(data):
     xf = StreamTransform(maps, Schedule(values))
     out = xf.transform(BitStream.from_bits(bits)).tolist()
     assert out == _block_oracle(maps, values, bits, width)
-    assert xf.recover(BitStream.from_bits(bits)).tolist() == _block_oracle(
+    back = _inverse(maps, Schedule(values))
+    assert back.transform(BitStream.from_bits(bits)).tolist() == _block_oracle(
         maps, values, bits, width, inverse=True
     )
 
@@ -186,10 +195,12 @@ def test_chunks_carry_the_block_offset(data):
     raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
     cuts = [c for c in range(1, nbytes) if 8 * c % width == 0]
     cut = data.draw(st.sampled_from(cuts)) if cuts else nbytes
-    xf = StreamTransform(maps, Schedule(values))
     bits = BitStream(raw).tolist()
-    for apply, inverse in ((xf.transform_chunks, False), (xf.recover_chunks, True)):
-        out = b"".join(c.tobytes() for c in apply([raw[:cut], raw[cut:]]))
+    for xf, inverse in (
+        (StreamTransform(maps, Schedule(values)), False),
+        (_inverse(maps, Schedule(values)), True),
+    ):
+        out = b"".join(c.tobytes() for c in xf.transform_chunks([raw[:cut], raw[cut:]]))
         expect = _block_oracle(maps, values, bits, width, inverse=inverse)
         assert BitStream(out).tolist() == expect
 
@@ -228,6 +239,8 @@ def test_packed_roundtrip_with_truncation():
     assert hash(BitStream(b"\xff", 3)) == hash(BitStream(b"\x07", 3))
     with pytest.raises(ValueError):
         BitStream(b"\x01", 9)
+    with pytest.raises(AttributeError):
+        s.nbits = 16
 
 
 def test_transform_clears_the_padding_bits():

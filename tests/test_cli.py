@@ -713,6 +713,40 @@ def test_stream_trace_path_with_a_space_round_trips(tmp_path, counter_tm):
     assert (tmp_path / "back" / "recovered.bits").read_bytes() == payload
 
 
+@pytest.mark.parametrize(
+    "maps, width, sched",
+    [("xorfam:5", 16, "periodic:6"), ("affine:3", 12, "trace")],
+    ids=["xorfam-w16", "affine-w12-trace"],
+)
+def test_stream_builds_one_table_per_map(tmp_path, counter_tm, monkeypatch, maps, width, sched):
+    # each mode expands only the maps it runs: recover inverts them first
+    calls = {"to_table_array": 0, "invert": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for cls in (XorFamily, Affine):
+        for name in calls:
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    payload = os.urandom(240)
+    src = tmp_path / "in.bits"
+    src.write_bytes(payload)
+    sched = f"trace:{counter_tm}" if sched == "trace" else sched
+    argv = stream_args("transform", src, tmp_path / "fwd", maps=maps, width=width, count=6,
+                       sched=sched)
+    assert main(argv) == 0
+    assert calls == {"to_table_array": 6, "invert": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(stream_args("recover", tmp_path / "fwd" / "stream.bits", tmp_path / "back",
+                            maps=maps)) == 0
+    assert calls == {"to_table_array": 6, "invert": 6}
+    assert (tmp_path / "back" / "recovered.bits").read_bytes() == payload
+
+
 def test_artifacts_get_the_umask_mode(tmp_path):
     src = tmp_path / "in.bits"
     src.write_bytes(bytes(32))

@@ -157,10 +157,12 @@ def test_qrng_treats_empty_body_as_failure(http_source):
     assert script.hits == 3
 
 
-def test_cli_import_leaves_out_requests():
-    """The HTTP source runs on the standard library alone."""
+@pytest.mark.parametrize("module", ["requests", "http.client", "urllib.request"])
+def test_cli_import_leaves_out_requests(module):
+    """The HTTP source runs on the standard library alone, and loads its
+    HTTP stack only when it fetches."""
     env = {**os.environ, "PYTHONPATH": str(Path(dynls.__file__).resolve().parents[1])}
-    code = "import sys, dynls.cli; print('requests' in sys.modules)"
+    code = f"import sys, dynls.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
