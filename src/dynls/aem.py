@@ -124,7 +124,7 @@ class AemProgram:
     commands: tuple[Command, ...]
 
 
-FiringTrace = dict[int, frozenset]
+FiringTrace = list[frozenset]  # entry t: the elements that fired at tick t
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +250,25 @@ class Machine:
     uses, the elements that fired at t-d (read from `trace`) send pulses
     along their out-edges of delay d.  A tick's cost therefore follows the
     number of delays in use and the fan-out of the firings, not the number
-    of connections or the size of the largest delay.  `trace` is the only
-    firing history the machine keeps.
+    of connections or the size of the largest delay.  `trace[t]` is the
+    set that fired at tick t, and `clock`, the next tick, is its length.
     """
 
     def __init__(self):
-        self.clock = 0
         self.elements: dict[str, Element] = {}
         self.connections: dict[tuple, Connection] = {}
         self.metas: dict[tuple, MetaCmd] = {}
-        self.trace: FiringTrace = {}
+        self.trace: FiringTrace = []
         self._forced: dict[int, set] = {}
-        self._last_fire: dict[str, int] = {}
-        self._pending: dict[int, list] = {}
+        self._last_fire: dict[str, int] = {}  # each element's latest fire, for refractoriness
+        self._pending: list = []  # meta payloads that land at the next tick
         # delay -> source -> {target: amplitude}, the nonzero `connections`;
         # empty entries are pruned, so the keys are the delays in use
         self._out: dict[int, dict[str, dict[str, int]]] = {}
+
+    @property
+    def clock(self) -> int:
+        return len(self.trace)
 
     def apply(self, commands: Union[AemProgram, Iterable[Command]]) -> None:
         if isinstance(commands, AemProgram):
@@ -319,14 +322,15 @@ class Machine:
 
     def step(self) -> frozenset:
         """Advance one tick; returns the set of names that fired."""
-        t = self.clock
-        for cmd in self._pending.pop(t, ()):
+        t = len(self.trace)
+        pending, self._pending = self._pending, []
+        for cmd in pending:
             self._apply_rule(cmd)
 
         fired = set(self._forced.pop(t, ()))
         sums: dict[str, int] = {}
         for delay, sources in self._out.items():
-            for source in self.trace.get(t - delay, ()):
+            for source in self.trace[t - delay] if delay <= t else ():
                 for target, amplitude in sources.get(source, {}).items():
                     sums[target] = sums.get(target, 0) + amplitude
         for name, total in sums.items():
@@ -343,16 +347,12 @@ class Machine:
         for name in fired:
             self._last_fire[name] = t
         result = frozenset(fired)
-        self.trace[t] = result
+        self.trace.append(result)
 
         if fired:
-            queue = None
             for (kind, trigger), meta in self.metas.items():
                 if trigger in fired:
-                    if queue is None:
-                        queue = self._pending.setdefault(t + 1, [])
-                    queue.extend(meta.payload)
-        self.clock = t + 1
+                    self._pending.extend(meta.payload)
         return result
 
     def run_until(self, tick: int) -> None:
@@ -365,8 +365,8 @@ def trace_to_jsonl(trace: FiringTrace) -> str:
     """One ``{"tick":t,"fired":[names]}`` line per tick, in tick and name
     order; element names match ``_NAME_RE``, so none needs JSON escaping."""
     return "".join(
-        '{"tick":%d,"fired":[%s]}\n' % (t, ",".join(['"%s"' % name for name in sorted(trace[t])]))
-        for t in sorted(trace)
+        '{"tick":%d,"fired":[%s]}\n' % (t, ",".join(['"%s"' % name for name in sorted(fired)]))
+        for t, fired in enumerate(trace)
     )
 
 

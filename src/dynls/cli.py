@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -67,11 +68,10 @@ def _write_atomic(path: Path, data) -> None:
 def _write_run(out: str, subcommand: str, parameters: dict, source, artifacts: dict) -> None:
     """Create `out`, write each artifact, ``key: (file name, data)``, then the
     manifest that names them.  Every command calls this once its inputs have
-    passed, so a run that fails on its inputs leaves no `out` directory."""
+    passed, and a failed artifact removes the directories this call made."""
     out = Path(out)
+    made = next((d for d in (*reversed(out.parents), out) if not d.is_dir()), None)
     out.mkdir(parents=True, exist_ok=True)
-    for name, data in artifacts.values():
-        _write_atomic(out / name, data)
     manifest = {
         "tool": {"name": "dynls", "version": __version__},
         "subcommand": subcommand,
@@ -79,7 +79,14 @@ def _write_run(out: str, subcommand: str, parameters: dict, source, artifacts: d
         "source": source,
         "artifacts": {key: name for key, (name, _) in artifacts.items()},
     }
-    _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    try:
+        for name, data in artifacts.values():
+            _write_atomic(out / name, data)
+        _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,7 @@ def cmd_run_utm(args) -> int:
         trace, report = run_utm_realization(program, dls, args.steps)
     else:
         # the machine halts before consuming a single instruction
-        trace = {}
+        trace = []
         report = UtmRunReport(args.steps, 0, (), ())
 
     _write_run(

@@ -103,12 +103,11 @@ class DlsDecomposition:
     scheduler: Schedule
     source: Any  # anything with next_bits(k) -> BitVec
     width: int = field(init=False)
-    _inverses: dict[Any, InvertibleMap] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    _inverses: dict[Any, InvertibleMap] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.width = _family_width(self.family.values())
+        self._inverses = {state: m.invert() for state, m in self.family.items()}
 
     def map_for(self, state: Any) -> InvertibleMap:
         try:
@@ -116,20 +115,14 @@ class DlsDecomposition:
         except KeyError:
             raise ValueError(f"no physical map for state {state!r}") from None
 
-    def _inverse_for(self, state: Any) -> InvertibleMap:
-        inv = self._inverses.get(state)
-        if inv is None:
-            inv = self.map_for(state).invert()
-            self._inverses[state] = inv
-        return inv
-
     def realize(self, j: int, logical_bit: int) -> Realization:
         """Encode one bit at step j, drawing the random part from the source."""
         return realize_step(self, j, self.source.next_bits(self.width - 1), logical_bit)
 
     def decode(self, physical: BitVec, state: Any) -> tuple[BitVec, int]:
         """Invert a physical state back to (random part, logical bit)."""
-        pre = self._inverse_for(state).apply(physical).value
+        self.map_for(state)  # names an unknown state
+        pre = self._inverses[state].apply(physical).value
         k = self.width - 1
         return BitVec(k, pre & ((1 << k) - 1)), pre >> k
 
@@ -223,7 +216,7 @@ def verify_invariance(
         decoded_r, decoded = dls.decode(real.physical, real.state)
         if decoded != expected or real.logical_bit != expected:
             violations.append(StepViolation(j, real.state, expected, decoded))
-        elif realizations is not None and decoded_r != real.random_part:
+        elif realizations is not None and decoded_r.value != real.random_part.value:
             # the membership bit survived, but the pattern was tampered with
             violations.append(
                 StepViolation(j, real.state, expected, decoded, kind="random_part")
@@ -333,6 +326,8 @@ def verify_perfect_secrecy(family: Mapping[Any, InvertibleMap]) -> SecrecyReport
 # ---------------------------------------------------------------------------
 
 
+ALPHA = 0.001  # a sampled row with a p-value at or below this fails the family
+
 def sampled_observable_histogram(
     m: InvertibleMap, b: int, samples: int, seed
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +377,6 @@ def chisquare_uniform(counts: np.ndarray, cells: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class SampledSecrecyReport:
     samples: int
-    alpha: float
     rows: tuple[tuple[Any, int, float, float], ...]  # (state, b, chi2, p)
     passed: bool
 
@@ -392,7 +386,7 @@ class SampledSecrecyReport:
             for state, b, chi2, p in self.rows
         ]
         verdict = "true" if self.passed else "false"
-        lines.append(f"samples={self.samples} alpha={self.alpha} pass={verdict}")
+        lines.append(f"samples={self.samples} alpha={ALPHA} pass={verdict}")
         return "".join(line + "\n" for line in lines)
 
 
@@ -400,13 +394,12 @@ def sampled_secrecy_report(
     family: Mapping[Any, InvertibleMap],
     samples: int,
     seed: int,
-    alpha: float = 0.001,
 ) -> SampledSecrecyReport:
     """Chi-square uniformity of each (state, bit) observable sample.
 
     The observable part of a secrecy-preserving map is uniform for either
     bit value, so every cell expects samples / 2^(n-1) hits; a p-value at
-    or below ``alpha`` for any pair fails the whole family.
+    or below ``ALPHA`` for any pair fails the whole family.
     """
     cells = 1 << (_family_width(family.values()) - 1)
     children = iter(np.random.SeedSequence(seed).spawn(2 * len(family)))
@@ -415,8 +408,8 @@ def sampled_secrecy_report(
         for b in (0, 1):
             _, counts = sampled_observable_histogram(m, b, samples, next(children))
             rows.append((state, b, *chisquare_uniform(counts, cells)))
-    passed = all(p > alpha for _, _, _, p in rows)
-    return SampledSecrecyReport(samples, alpha, tuple(rows), passed)
+    passed = all(p > ALPHA for _, _, _, p in rows)
+    return SampledSecrecyReport(samples, tuple(rows), passed)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ class SourceFailure(RuntimeError):
 class BitSource:
     """Buffered bit dispenser over a subclass-provided byte supply."""
 
+    CHUNK = 256  # bytes a generator-backed source draws at a time
+
     def __init__(self) -> None:
         self._acc = 0
         self._nbits = 0
@@ -38,9 +40,8 @@ class BitSource:
             raise ValueError(f"k must be 1..{MAX_WIDTH}, got {k}")
         while self._nbits < k:
             chunk = self._more_bytes()
-            for byte in chunk:
-                self._acc |= byte << self._nbits
-                self._nbits += 8
+            self._acc |= int.from_bytes(chunk, "little") << self._nbits
+            self._nbits += 8 * len(chunk)
         value = self._acc & ((1 << k) - 1)
         self._acc >>= k
         self._nbits -= k
@@ -49,8 +50,6 @@ class BitSource:
 
 class SeededSource(BitSource):
     """Deterministic source; the byte stream is a pure function of the seed."""
-
-    CHUNK = 256
 
     def __init__(self, seed: int) -> None:
         super().__init__()
@@ -63,8 +62,6 @@ class SeededSource(BitSource):
 
 class OsEntropySource(BitSource):
     """Bits from the operating system entropy pool."""
-
-    CHUNK = 256
 
     def _more_bytes(self) -> bytes:
         return os.urandom(self.CHUNK)
@@ -91,15 +88,16 @@ class QrngSource(BitSource):
 
     Each GET is expected to return raw bytes in the response body.  Failed
     requests (transport errors, non-200 status, empty bodies) are retried;
-    after ``max_retries`` consecutive failures the source gives up with
+    after ``MAX_RETRIES`` consecutive failures the source gives up with
     :class:`SourceFailure` rather than substituting some other generator.
     """
 
-    def __init__(self, url: str, timeout_ms: int = 5000, max_retries: int = 3) -> None:
+    TIMEOUT_S = 5.0  # per request
+    MAX_RETRIES = 3
+
+    def __init__(self, url: str) -> None:
         super().__init__()
         self.url = url
-        self.timeout_ms = timeout_ms
-        self.max_retries = max_retries
 
     def _more_bytes(self) -> bytes:
         import http.client  # load on use: only this source needs the HTTP stack
@@ -109,9 +107,7 @@ class QrngSource(BitSource):
         failures = 0
         while True:
             try:
-                with urllib.request.urlopen(
-                    self.url, timeout=self.timeout_ms / 1000.0
-                ) as resp:
+                with urllib.request.urlopen(self.url, timeout=self.TIMEOUT_S) as resp:
                     status, body = resp.status, resp.read()
                 if status == 200 and body:
                     return body
@@ -123,7 +119,7 @@ class QrngSource(BitSource):
                 # ValueError: a URL without a scheme, which fails like any other
                 reason = str(exc)
             failures += 1
-            if failures >= self.max_retries:
+            if failures >= self.MAX_RETRIES:
                 raise SourceFailure(
                     f"entropy endpoint {self.url} failed {failures} times ({reason})"
                 )

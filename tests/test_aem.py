@@ -421,7 +421,7 @@ def test_machine_matches_full_scan_oracle():
                 for c in machine.connections.values()
                 if c.amplitude
             }, seed
-        assert machine.trace == oracle.trace
+        assert machine.trace == [oracle.trace[t] for t in range(len(oracle.trace))]
         assert machine.connections == oracle.connections
         assert machine.elements == oracle.elements
         in_flight_rewires += oracle.in_flight_rewires
@@ -654,6 +654,8 @@ def test_run_utm_stops_at_halt():
     assert report.requested_steps == 500
     assert report.effective_steps == len(sched) < 500
     assert report.violations == ()
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        run_utm_realization(program, dls, steps=0)
 
 
 def test_run_utm_seeded_runs_are_identical():

@@ -276,14 +276,34 @@ _FAMILIES = "expected one of xorfam[:<seed>], affine:<seed>, file:<dir>"
          "No such file"),
         (["verify-secrecy", "--dls", "affine", "--width", "4", "--out", "OUT"],
          f"bad spec 'affine'; {_FAMILIES}"),
+        (["run-utm", "--tm", "COUNTER", "--steps", "0", "--out", "OUT"],
+         "--steps must be >= 1, got 0"),
+        (["run-utm", "--tm", "COUNTER", "--steps", "5", "--rng", f"seeded:{2**64}", "--out",
+          "OUT"], f"seed must fit in 64 bits, got {2**64}"),
+        (["run-utm", "--tm", "COUNTER", "--steps", "5", "--dls", "file:TMP", "--out", "OUT"],
+         "no map file for state (0, 0): "),
+        (["verify-secrecy", "--dls", "xorfam", "--out", "OUT"],
+         "--width is required for derived families"),
+        (["stream", "transform", "--in", "COUNTER", "--maps", "xorfam", "--width", "8",
+          "--count", "2", "--sched", "periodic:3", "--out", "OUT"],
+         "period must be in 1..2, got 3"),
+        (["stream", "transform", "--in", "COUNTER", "--maps", "xorfam", "--width", "8",
+          "--count", "2", "--sched", "trace:STUCK", "--out", "OUT"],
+         "schedule machine halts before its first step"),
+        (["stream", "transform", "--in", "COUNTER", "--maps", "xorfam", "--width", "8",
+          "--count", "0", "--sched", "periodic:1", "--out", "OUT"],
+         "map count must be >= 1, got 0"),
     ],
     ids=["dls", "dls-no-steps", "rng", "seed", "sched", "transform-no-input",
-         "recover-no-input", "secrecy"],
+         "recover-no-input", "secrecy", "steps", "seed-range", "no-map-file", "no-width",
+         "period", "sched-halts", "count"],
 )
 def test_failed_inputs_leave_no_out_directory(tmp_path, counter_tm, capsys, argv, message):
     out = tmp_path / "out"
-    spots = {"COUNTER": counter_tm, "STUCK": _stuck_tm(tmp_path),
-             "MISSING": str(tmp_path / "missing.bits"), "OUT": str(out)}
+    stuck = _stuck_tm(tmp_path)
+    spots = {"COUNTER": counter_tm, "STUCK": stuck, "trace:STUCK": f"trace:{stuck}",
+             "file:TMP": f"file:{tmp_path}", "MISSING": str(tmp_path / "missing.bits"),
+             "OUT": str(out)}
     assert main([spots.get(arg, arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dynls:") and message in err, err
@@ -553,6 +573,18 @@ def test_verify_secrecy_sampled_mode(capsys):
     assert "pass=true" in out
 
 
+def test_sampled_os_run_replays_from_its_derived_seed(tmp_path):
+    argv = ["verify-secrecy", "--dls", "xorfam:5", "--width", "8", "--states", "3",
+            "--sample", "2000"]
+    assert main([*argv, "--rng", "os", "--out", str(tmp_path / "os")]) == 0
+    manifest = json.loads((tmp_path / "os" / "manifest.json").read_text())
+    assert manifest["source"]["kind"] == "os"
+    seed = manifest["source"]["derived_seed"]
+    assert main([*argv, "--rng", f"seeded:{seed}", "--out", str(tmp_path / "seeded")]) == 0
+    report = (tmp_path / "os" / "report.txt").read_bytes()
+    assert report == (tmp_path / "seeded" / "report.txt").read_bytes()
+
+
 def _child_env():
     src = str(Path(dynls.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
@@ -779,14 +811,29 @@ def test_stream_failure_leaves_no_artifact(tmp_path):
     # the length check fails only after every chunk has been written
     src = tmp_path / "in.bits"
     src.write_bytes(bytes(CHUNK_GROUPS * 15 * 3 + 1))
-    out = tmp_path / "out"
+    out = tmp_path / "runs" / "out"
     code = main(
         stream_args(
             "transform", src, out, maps="xorfam:1", width=15, count=2, sched="periodic:2",
         )
     )
     assert code == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists() and not out.parent.exists()
+
+
+def test_stream_failure_keeps_an_out_directory_it_did_not_create(tmp_path):
+    src = tmp_path / "in.bits"
+    src.write_bytes(bytes(CHUNK_GROUPS * 15 * 3 + 1))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    code = main(
+        stream_args(
+            "transform", src, out, maps="xorfam:1", width=15, count=2, sched="periodic:2",
+        )
+    )
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
 def test_stream_memory_follows_chunks_not_file(tmp_path):

@@ -197,6 +197,10 @@ def test_invariance_clean_run():
     assert report.ok
     assert report.steps == 500
     assert report.violations == ()
+    with pytest.raises(ValueError, match="need at least one logical point"):
+        verify_invariance(dls, f, [], steps=500)
+    with pytest.raises(ValueError, match="steps is required when realizations are generated"):
+        verify_invariance(dls, f, points)
 
 
 def test_invariance_catches_injected_fault():
@@ -216,6 +220,15 @@ def test_invariance_catches_injected_fault():
     assert not report.ok
     assert [v.step for v in report.violations] == [7]
     assert report.violations[0].decoded_bit != f(points[7])
+    bit = f(points[7])
+    lines = report.to_text().splitlines()
+    assert lines == [
+        "steps=64 violations=1",
+        f"step=7 state={points[7].value} kind=level_set expected={bit} decoded={1 - bit}",
+    ]
+    for line in lines:
+        fields = [token.partition("=") for token in line.split()]
+        assert all(key and sep and value for key, sep, value in fields), line
 
 
 def test_invariance_catches_observable_tampering():

@@ -101,7 +101,7 @@ class _Script:
 def http_source():
     made = []
 
-    def make(responses, **kwargs):
+    def make(responses):
         script = _Script(responses)
 
         class Handler(BaseHTTPRequestHandler):
@@ -120,7 +120,7 @@ def http_source():
         thread.start()
         made.append(server)
         url = f"http://127.0.0.1:{server.server_address[1]}/raw"
-        return QrngSource(url, timeout_ms=2000, **kwargs), script
+        return QrngSource(url), script
 
     yield make
     for server in made:
@@ -135,23 +135,20 @@ def test_qrng_reads_response_bytes(http_source):
 
 
 def test_qrng_gives_up_after_retries(http_source):
-    src, script = http_source([(503, b""), (503, b""), (503, b"")], max_retries=3)
+    src, script = http_source([(503, b""), (503, b""), (503, b"")])
     with pytest.raises(SourceFailure):
         src.next_bits(8)
     assert script.hits == 3
 
 
 def test_qrng_recovers_between_failures(http_source):
-    src, _ = http_source(
-        [(503, b""), (200, b"\xaa"), (503, b""), (503, b""), (200, b"\x55")],
-        max_retries=3,
-    )
+    src, _ = http_source([(503, b""), (200, b"\xaa"), (503, b""), (503, b""), (200, b"\x55")])
     assert src.next_bits(8).value == 0xAA
     assert src.next_bits(8).value == 0x55
 
 
 def test_qrng_treats_empty_body_as_failure(http_source):
-    src, script = http_source([(200, b""), (200, b""), (200, b"")], max_retries=3)
+    src, script = http_source([(200, b""), (200, b""), (200, b"")])
     with pytest.raises(SourceFailure):
         src.next_bits(4)
     assert script.hits == 3
