@@ -6,10 +6,13 @@ step j.  Recovery runs the same schedule against the inverse maps, so a
 receiver that knows the family and the schedule gets the original stream
 back bit for bit.
 
-One kernel serves every width, on packed bytes: eight n-bit blocks fill n
-bytes, block i of each n is read from the window at byte (i*n)//8, looked
-up in a uint16 table (one per family member, which caps the width at 16)
-and ORed back in.  Files go through in chunks, so memory stays bounded.
+The kernel works on packed bytes and looks each block up in a uint16
+table, one per family member, which caps the width at 16.  When
+``width % 8 == 0`` (widths 8 and 16) each block is one little-endian word
+of the stream, so the words are looked up as they are.  Any other width
+takes the window kernel: eight n-bit blocks fill n bytes, block i of each
+n is read from the window at byte (i*n)//8, and its image is ORed back
+in.  Files go through in chunks, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ class StreamTransform:
         at = first % self._period
         if at + 8 * groups > self._starts.size:  # tile the period over the blocks
             self._starts = np.tile(self._starts[: self._period], 8 * groups // self._period + 2)
+        if n % 8 == 0:  # each block is one little-endian word
+            word = f"<u{n // 8}"
+            blocks = data.view(word)
+            index = self._starts[at : at + blocks.size] + blocks
+            return self._tables[index].astype(word, copy=False).view(np.uint8)
         # windows are 4-byte words: the input gets 3 spare bytes, each output group 3
         buf = np.zeros(groups * n + 3, np.uint8)
         buf[: data.size] = data
@@ -123,7 +131,7 @@ class StreamTransform:
         nbits = 0
         for chunk in chunks:
             data = np.frombuffer(chunk, np.uint8)
-            yield self._kernel(data, nbits // self.width)
-            nbits += 8 * data.size
-            if nbits % self.width:  # so the next chunk, or the end, comes mid-block
+            first, nbits = nbits // self.width, nbits + 8 * data.size
+            if nbits % self.width:  # checked before the word path views a ragged chunk
                 raise ValueError(f"stream of {nbits} bits is not divisible by width {self.width}")
+            yield self._kernel(data, first)

@@ -8,7 +8,7 @@ written order).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynls.bitcore import Affine, XorFamily, permute_coordinates
@@ -162,21 +162,38 @@ def _block_oracle(maps, values, bits, width, first=0, inverse=False):
     return out
 
 
-def _family_and_schedule(data):
-    width = data.draw(st.integers(2, 16), label="width")
-    nmaps = data.draw(st.integers(1, 5), label="nmaps")
-    fam = derived_affine_family(width, list(range(nmaps)), data.draw(st.integers(0, 999)))
-    values = data.draw(st.lists(st.integers(0, nmaps - 1), min_size=1, max_size=9))
-    return width, [fam[i] for i in range(nmaps)], values
+def _family(width, nmaps, seed, values):
+    """``nmaps`` affine maps of one width, and the schedule ``values`` mod ``nmaps``."""
+    fam = derived_affine_family(width, list(range(nmaps)), seed)
+    return [fam[i] for i in range(nmaps)], [v % nmaps for v in values]
 
 
-@given(st.data())
+# a drawn family and up to 12 groups of stream bytes
+FAMILY = {
+    "width": st.integers(2, 16),
+    "nmaps": st.integers(1, 5),
+    "seed": st.integers(0, 999),
+    "values": st.lists(st.integers(0, 4), min_size=1, max_size=9),
+    "raw": st.binary(min_size=192, max_size=192),
+}
+
+
+def _word_example(width, **case):
+    """Widths 8 and 16, whose blocks are whole bytes, are checked on every
+    run: three maps under a period of 4."""
+    return example(width=width, nmaps=3, seed=width, values=[2, 0, 1, 1],
+                   raw=bytes(range(7, 199)), **case)
+
+
+@given(nblocks=st.integers(0, 40), **FAMILY)
+@_word_example(8, nblocks=13)
+@_word_example(16, nblocks=13)
 @settings(max_examples=80, deadline=None)
-def test_packed_kernel_matches_block_oracle(data):
+def test_packed_kernel_matches_block_oracle(width, nmaps, seed, values, raw, nblocks):
     # stream lengths that end inside a byte, unless the width forbids it
-    width, maps, values = _family_and_schedule(data)
-    nblocks = data.draw(st.integers(0, 40).filter(lambda k: width % 8 == 0 or k * width % 8))
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=nblocks * width, max_size=nblocks * width))
+    assume(width % 8 == 0 or nblocks * width % 8)
+    maps, values = _family(width, nmaps, seed, values)
+    bits = BitStream(raw).tolist()[: nblocks * width]
     xf = StreamTransform(maps, Schedule(values))
     out = xf.transform(BitStream.from_bits(bits)).tolist()
     assert out == _block_oracle(maps, values, bits, width)
@@ -186,15 +203,16 @@ def test_packed_kernel_matches_block_oracle(data):
     )
 
 
-@given(st.data())
+@given(ngroups=st.integers(1, 12), cut=st.integers(0, 191), **FAMILY)
+@_word_example(8, ngroups=12, cut=37)
+@_word_example(16, ngroups=12, cut=37)
 @settings(max_examples=80, deadline=None)
-def test_chunks_carry_the_block_offset(data):
+def test_chunks_carry_the_block_offset(width, nmaps, seed, values, raw, ngroups, cut):
     # the second chunk starts at a nonzero block, mid-group when it can
-    width, maps, values = _family_and_schedule(data)
-    nbytes = data.draw(st.integers(1, 12)) * width
-    raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
-    cuts = [c for c in range(1, nbytes) if 8 * c % width == 0]
-    cut = data.draw(st.sampled_from(cuts)) if cuts else nbytes
+    maps, values = _family(width, nmaps, seed, values)
+    raw = raw[: ngroups * width]
+    cuts = [c for c in range(1, len(raw)) if 8 * c % width == 0]
+    cut = cuts[cut % len(cuts)] if cuts else len(raw)
     bits = BitStream(raw).tolist()
     for xf, inverse in (
         (StreamTransform(maps, Schedule(values)), False),
@@ -205,12 +223,20 @@ def test_chunks_carry_the_block_offset(data):
         assert BitStream(out).tolist() == expect
 
 
-def test_chunks_must_end_on_a_block():
-    xf = StreamTransform([_reversal(3)], Schedule(range(1)))
+@pytest.mark.parametrize(
+    "width, chunks",
+    [
+        (3, [bytes(3), bytes(1)]),  # 32 bits
+        (3, [bytes(1), bytes(2)]),  # a chunk starts mid-block
+        (16, [bytes(4), bytes(3)]),  # 56 bits: the last chunk is ragged
+        (16, [bytes(1), bytes(3)]),  # a chunk starts mid-block
+    ],
+    ids=["w3-ragged", "w3-mid-block", "w16-ragged", "w16-mid-block"],
+)
+def test_chunks_must_end_on_a_block(width, chunks):
+    xf = StreamTransform([_reversal(width)], Schedule(range(1)))
     with pytest.raises(ValueError, match="not divisible"):
-        list(xf.transform_chunks([bytes(3), bytes(1)]))  # 32 bits
-    with pytest.raises(ValueError, match="not divisible"):
-        list(xf.transform_chunks([bytes(1), bytes(2)]))  # a chunk starts mid-block
+        list(xf.transform_chunks(chunks))
 
 
 def test_width_cap_for_table_expansion():

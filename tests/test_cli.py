@@ -794,13 +794,14 @@ def test_artifacts_get_the_umask_mode(tmp_path):
     assert modes == dict.fromkeys(["stream.bits", "stream.bits.meta", "manifest.json"], 0o644)
 
 
-def test_stream_length_not_divisible(tmp_path, capsys):
+@pytest.mark.parametrize("width, nbytes", [(15, 100), (16, 101)], ids=["w15", "w16"])
+def test_stream_length_not_divisible(width, nbytes, tmp_path, capsys):
     src = tmp_path / "in.bits"
-    src.write_bytes(bytes(100))  # 800 bits, not divisible by 15
+    src.write_bytes(bytes(nbytes))  # 800 bits (not a multiple of 15), or an odd byte count
     code = main(
         stream_args(
             "transform", src, tmp_path / "out",
-            maps="xorfam:1", width=15, count=2, sched="periodic:2",
+            maps="xorfam:1", width=width, count=2, sched="periodic:2",
         )
     )
     assert code == 2
@@ -808,7 +809,7 @@ def test_stream_length_not_divisible(tmp_path, capsys):
 
 
 def test_stream_failure_leaves_no_artifact(tmp_path):
-    # the length check fails only after every chunk has been written
+    # the length check fails on the last chunk, after three whole ones were written
     src = tmp_path / "in.bits"
     src.write_bytes(bytes(CHUNK_GROUPS * 15 * 3 + 1))
     out = tmp_path / "runs" / "out"

@@ -58,10 +58,12 @@ def test_run_utm_digests(dls, counter_tm, tmp_path):
     assert _sha256(out / "report.txt") == report
 
 
-# (flags, input bytes, digest).  6000 bytes is a whole number of 16-bit and
-# of 12-bit blocks; 1191651 bytes (a multiple of 3) is a whole number of
+# (flags, input bytes, digest).  6000 bytes is a whole number of 8-, 12-
+# and 16-bit blocks; 1191651 bytes (a multiple of 3) is a whole number of
 # 12-bit blocks but not of 12-byte groups, and spans twelve full chunks
-# and a partial one, whose first blocks fall on every phase of period 5
+# and a partial one, whose first blocks fall on every phase of period 5;
+# 399218 bytes (even, not a multiple of 16) spans three full 16-bit chunks
+# and a partial one, each starting one phase of period 5 later
 STREAM = {
     "w16-periodic": (["--maps", "xorfam", "--width", "16", "--count", "6",
                       "--sched", "periodic:6"], 6000,
@@ -72,14 +74,21 @@ STREAM = {
     "w12-chunks": (["--maps", "affine:13", "--width", "12", "--count", "5",
                     "--sched", "periodic:5"], 1191651,
                    "e9546491c766d24bf88b77c4f706143147b9e66e57177dd72980d9bf1a6293b3"),
+    "w16-chunks": (["--maps", "affine:17", "--width", "16", "--count", "5",
+                    "--sched", "periodic:5"], 399218,
+                   "b43564bee124a2cd7de3946371a1dbac428462fe02519b3998b27e01fd762c9b"),
+    "w8-trace": (["--maps", "affine:19", "--width", "8", "--count", "6",
+                  "--sched", "trace:{tm}"], 6000,
+                 "17ce4ebc773ed185af11882a2e3fcdbc75b4a3cbf407b179eb62fde1c875825a"),
 }
 
 
 def test_chunked_stream_case_spans_chunks():
-    chunk = CHUNK_GROUPS * 12
-    nbytes = STREAM["w12-chunks"][1]
-    assert nbytes > 3 * chunk and nbytes % chunk and nbytes % 12
-    assert (8 * chunk // 12) % 5  # block offsets move from chunk to chunk
+    for case, width in (("w12-chunks", 12), ("w16-chunks", 16)):
+        chunk = CHUNK_GROUPS * width
+        nbytes = STREAM[case][1]
+        assert nbytes > 3 * chunk and nbytes % chunk and nbytes % width
+        assert (8 * chunk // width) % 5  # block offsets move from chunk to chunk
 
 
 @pytest.mark.parametrize("case", sorted(STREAM))
