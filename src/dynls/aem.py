@@ -10,7 +10,7 @@ whose readout firing pattern reproduces the step's physical output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
@@ -99,21 +99,28 @@ class MetaCmd:
     """A payload of rule rewrites applied one tick after `trigger` fires.
 
     Installing a meta command for a (kind, trigger) pair the machine
-    already holds replaces that payload wholesale.
+    already holds replaces that payload wholesale.  `net` is the payload's
+    net effect: each rule keyed by its element name or its (source,
+    target) edge, a later rule replacing an earlier one with its key.
     """
 
     kind: MetaKind
     trigger: str
     payload: tuple[Rule, ...]
+    net: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        want = Connection if self.kind is MetaKind.CONNECTIONS else Element
+        edges = self.kind is MetaKind.CONNECTIONS
+        want = Connection if edges else Element
+        net = {}
         for cmd in self.payload:
             if not isinstance(cmd, want):
                 raise ValueError(
                     f"{self.kind.value} payload may only hold "
                     f"{want.__name__} entries, got {type(cmd).__name__}"
                 )
+            net[(cmd.source, cmd.target) if edges else cmd.name] = cmd
+        object.__setattr__(self, "net", net)
 
 
 Command = Union[Element, Connection, FireCmd, MetaCmd]
@@ -246,6 +253,15 @@ class Machine:
     Pulses are integrated against the connection set current at their
     arrival tick, not the one in place when they were emitted.
 
+    The payloads landing on one tick act as one rewiring.  Consecutive
+    connection payloads merge into their net effect, in which the last
+    write to each (source, target) edge wins; element payloads keep their
+    place in the landing order, so a connection payload that lands before
+    the element payload declaring its endpoint raises `AemLinkError`.
+    Re-installing a connection object already in place is skipped after
+    one lookup, and re-declaring an element object rewrites its entry
+    unchanged.
+
     Pulses are found event by event: for each delay d some connection
     uses, the elements that fired at t-d (read from `trace`) send pulses
     along their out-edges of delay d.  A tick's cost therefore follows the
@@ -261,7 +277,7 @@ class Machine:
         self.trace: FiringTrace = []
         self._forced: dict[int, set] = {}
         self._last_fire: dict[str, int] = {}  # each element's latest fire, for refractoriness
-        self._pending: list = []  # meta payloads that land at the next tick
+        self._pending: list = []  # metas whose payloads land at the next tick
         # delay -> source -> {target: amplitude}, the nonzero `connections`;
         # empty entries are pruned, so the keys are the delays in use
         self._out: dict[int, dict[str, dict[str, int]]] = {}
@@ -273,17 +289,21 @@ class Machine:
     def apply(self, commands: Union[AemProgram, Iterable[Command]]) -> None:
         if isinstance(commands, AemProgram):
             commands = commands.commands
+        elements = self.elements
         for cmd in commands:
-            if isinstance(cmd, (Element, Connection)):
-                self._apply_rule(cmd)
+            if isinstance(cmd, Element):
+                elements[cmd.name] = cmd
             elif isinstance(cmd, FireCmd):
-                self._require(cmd.name, "fire target")
-                if cmd.tick < self.clock:
+                if cmd.name not in elements:
+                    self._require(cmd.name, "fire target")
+                if cmd.tick < len(self.trace):
                     raise AemLinkError(
                         f"cannot fire {cmd.name!r} at past tick {cmd.tick} "
                         f"(clock is {self.clock})"
                     )
                 self._forced.setdefault(cmd.tick, set()).add(cmd.name)
+            elif isinstance(cmd, Connection):
+                self._land({(cmd.source, cmd.target): cmd})
             elif isinstance(cmd, MetaCmd):
                 self._require(cmd.trigger, "meta trigger")
                 self.metas[(cmd.kind, cmd.trigger)] = cmd
@@ -294,70 +314,78 @@ class Machine:
         if name not in self.elements:
             raise AemLinkError(f"{role} {name!r} is not an element of this machine")
 
-    def _apply_rule(self, c: Rule) -> None:
-        if isinstance(c, Element):
-            self.elements[c.name] = c
-            return
-        key = (c.source, c.target)
-        old = self.connections.get(key)
-        if old is c:
-            # compiled steps share their commands, so re-installs are
-            # common; elements are never removed, so both ends still exist
-            return
-        self._require(c.source, "connection source")
-        self._require(c.target, "connection target")
-        if old is not None:
-            sources = self._out[old.delay]
-            edges = sources[old.source]
-            del edges[old.target]
-            if not edges:
-                del sources[old.source]
-                if not sources:
-                    del self._out[old.delay]
-        if c.amplitude == 0:
-            self.connections.pop(key, None)
-        else:
-            self.connections[key] = c
-            self._out.setdefault(c.delay, {}).setdefault(c.source, {})[c.target] = c.amplitude
+    def _land(self, net: dict) -> None:
+        """Install each (source, target) -> connection entry of `net`."""
+        connections, elements, out = self.connections, self.elements, self._out
+        for key, c in net.items():
+            old = connections.get(key)
+            if old is c:
+                continue
+            if old is None:
+                if c.source not in elements or c.target not in elements:
+                    self._require(c.source, "connection source")
+                    self._require(c.target, "connection target")
+            elif old.delay != c.delay or not c.amplitude:
+                # a replaced edge's endpoints exist, since elements are never
+                # removed; a new amplitude on the same delay is written in place
+                sources = out[old.delay]
+                edges = sources[old.source]
+                del edges[old.target]
+                if not edges:
+                    del sources[old.source]
+                    if not sources:
+                        del out[old.delay]
+            if c.amplitude:
+                connections[key] = c
+                out.setdefault(c.delay, {}).setdefault(c.source, {})[c.target] = c.amplitude
+            elif old is not None:
+                del connections[key]
 
     def step(self) -> frozenset:
         """Advance one tick; returns the set of names that fired."""
-        t = len(self.trace)
-        pending, self._pending = self._pending, []
-        for cmd in pending:
-            self._apply_rule(cmd)
+        trace = self.trace
+        t = len(trace)
+        if self._pending:
+            pending, self._pending = self._pending, []
+            net: dict = {}  # the run of connection payloads not yet landed, merged
+            for meta in pending:
+                if meta.kind is MetaKind.CONNECTIONS:
+                    net = {**net, **meta.net} if net else meta.net
+                else:
+                    self._land(net)
+                    net = {}
+                    self.elements.update(meta.net)
+            self._land(net)
 
         fired = set(self._forced.pop(t, ()))
         sums: dict[str, int] = {}
         for delay, sources in self._out.items():
-            for source in self.trace[t - delay] if delay <= t else ():
-                for target, amplitude in sources.get(source, {}).items():
-                    sums[target] = sums.get(target, 0) + amplitude
+            for source in trace[t - delay] if delay <= t else ():
+                if source in sources:
+                    for target, amplitude in sources[source].items():
+                        sums[target] = sums.get(target, 0) + amplitude
+        elements, last_fire, random_kind = self.elements, self._last_fire, ElementKind.RANDOM
         for name, total in sums.items():
-            if name in fired:
-                continue
-            elem = self.elements[name]
-            if elem.kind is ElementKind.RANDOM:
-                continue
-            if total >= elem.threshold:
-                last = self._last_fire.get(name)
+            elem = elements[name]
+            if total >= elem.threshold and elem.kind is not random_kind and name not in fired:
+                last = last_fire.get(name)
                 if last is None or t > last + elem.refractory:
                     fired.add(name)
 
         for name in fired:
-            self._last_fire[name] = t
+            last_fire[name] = t
         result = frozenset(fired)
-        self.trace.append(result)
+        trace.append(result)
 
         if fired:
             for (kind, trigger), meta in self.metas.items():
                 if trigger in fired:
-                    self._pending.extend(meta.payload)
+                    self._pending.append(meta)
         return result
 
     def run_until(self, tick: int) -> None:
         """Run steps through `tick` inclusive."""
-        while self.clock <= tick:
+        while len(self.trace) <= tick:
             self.step()
 
 
@@ -365,7 +393,7 @@ def trace_to_jsonl(trace: FiringTrace) -> str:
     """One ``{"tick":t,"fired":[names]}`` line per tick, in tick and name
     order; element names match ``_NAME_RE``, so none needs JSON escaping."""
     return "".join(
-        '{"tick":%d,"fired":[%s]}\n' % (t, ",".join(['"%s"' % name for name in sorted(fired)]))
+        '{"tick":%d,"fired":[%s]}\n' % (t, '"%s"' % '","'.join(sorted(fired)) if fired else "")
         for t, fired in enumerate(trace)
     )
 
@@ -393,8 +421,8 @@ class _Wires(NamedTuple):
 
 
 class _StepParts(NamedTuple):
-    randoms: tuple[str, ...]  # r0.., the random-part inputs
-    outputs: tuple[str, ...]  # d0.., their outputs
+    inputs: tuple[str, ...]  # r0.., the random-part inputs, then BIT_IN
+    readout: dict[str, int]  # d0.., their outputs, then BIT_OUT: name -> 1 << coordinate
     elements: tuple[Element, ...]
     rearm: MetaCmd
     wires: tuple[_Wires, ...]
@@ -424,13 +452,16 @@ def _step_parts(width: int) -> _StepParts:
         *(element(n, ElementKind.RANDOM) for n in randoms),
         *bank[:-1],
     )
+    inputs = (*randoms, BIT_IN)
+    readout = {name: 1 << i for i, name in enumerate((*outputs, BIT_OUT))}
     wires = tuple(
         _Wires(
             wire(GO, dn, 0), wire(GO, dn, 1), wire(rn, dn, 0), wire(rn, dn, 1), wire(rn, dn, -1)
         )
-        for rn, dn in zip((*randoms, BIT_IN), (*outputs, BIT_OUT))
+        for rn, dn in zip(inputs, readout)
     )
-    return _StepParts(randoms, outputs, elements, MetaCmd(MetaKind.ELEMENTS, GO, bank), wires)
+    rearm = MetaCmd(MetaKind.ELEMENTS, GO, bank)
+    return _StepParts(inputs, readout, elements, rearm, wires)
 
 
 # bounded, since a caller may compile steps for any number of mask pairs
@@ -491,19 +522,19 @@ def compile_step(
         raise ValueError(f"logical bit must be 0 or 1, got {logical_bit!r}")
     parts = _step_parts(width)
 
-    cmds: list = [*parts.elements, FireCmd(GO, base_tick)]
-    for i, name in enumerate(parts.randoms):
-        if (r.value >> i) & 1:
-            cmds.append(FireCmd(name, base_tick))
-    if logical_bit:
-        cmds.append(FireCmd(BIT_IN, base_tick))
+    x = r.value | logical_bit << k  # the map's input: bit i fires inputs[i]
+    cmds: list = [
+        *parts.elements,
+        FireCmd(GO, base_tick),
+        *[FireCmd(name, base_tick) for i, name in enumerate(parts.inputs) if x >> i & 1],
+    ]
 
     if isinstance(family_map, XorFamily):
         cmds.extend(
             _mask_metas(width, family_map.mask0, family_map.mask1, family_map.flip)
         )
     else:
-        value = family_map.apply_int(r.value | logical_bit << k)
+        value = family_map.apply_int(x)
         payload = tuple(
             cmd
             for i, w in enumerate(parts.wires)
@@ -517,12 +548,8 @@ def compile_step(
 
 def readout_physical(trace: FiringTrace, base_tick: int, width: int) -> BitVec:
     """Reassemble the physical word from the epoch's readout tick."""
-    fired = trace[base_tick + EPOCH_TICKS - 1]
-    value = 0
-    for i, name in enumerate((*_step_parts(width).outputs, BIT_OUT)):
-        if name in fired:
-            value |= 1 << i
-    return BitVec(width, value)
+    bits = _step_parts(width).readout
+    return BitVec(width, sum([bits.get(name, 0) for name in trace[base_tick + EPOCH_TICKS - 1]]))
 
 
 # ---------------------------------------------------------------------------

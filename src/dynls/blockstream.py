@@ -90,11 +90,12 @@ class StreamTransform:
             )
         if not len(schedule):
             raise ValueError("schedule is empty")
-        if any(not 0 <= v < len(maps) for v in schedule.values):
+        values = np.array(schedule.values)
+        if not 0 <= values.min() <= values.max() < len(maps):
             raise ValueError("schedule names an index outside the family")
         self._tables = np.concatenate([m.to_table_array().astype(np.uint16) for m in maps])
         # where each scheduled map's table starts; the kernel tiles these
-        self._starts = np.array(schedule.values, dtype=np.intp) << self.width
+        self._starts = values.astype(np.intp) << self.width
         self._period = self._starts.size
         self._byte, self._shift = np.divmod(np.arange(8, dtype=np.uint32) * self.width, 8)
 

@@ -270,7 +270,8 @@ def build_schedule(spec: str, count: int):
     pairs = instruction_trace(program, config, TRACE_SCHEDULE_HORIZON)
     if not pairs:
         raise ValueError("schedule machine halts before its first step")
-    return Schedule(instruction_index(q, a) % count for q, a in pairs)
+    index = {pair: instruction_index(*pair) % count for pair in set(pairs)}
+    return Schedule(map(index.__getitem__, pairs))
 
 
 def _read_stream_meta(path: Path):

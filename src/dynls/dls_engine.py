@@ -121,7 +121,8 @@ class DlsDecomposition:
 
     def decode(self, physical: BitVec, state: Any) -> tuple[BitVec, int]:
         """Invert a physical state back to (random part, logical bit)."""
-        self.map_for(state)  # names an unknown state
+        if state not in self._inverses:
+            self.map_for(state)  # names the unknown state
         pre = self._inverses[state].apply(physical).value
         k = self.width - 1
         return BitVec(k, pre & ((1 << k) - 1)), pre >> k

@@ -273,6 +273,31 @@ def test_dangling_endpoints_rejected():
         m.apply([MetaCmd(MetaKind.CONNECTIONS, "ghost", ())])
 
 
+def test_meta_payload_endpoint_checked_when_it_lands():
+    # installing the meta checks only its trigger; the payload's edge is
+    # checked at the tick it lands, one after `a` fires
+    m = machine_of("E a 1 0 random\nMC a {\n  C a ghost 1 1\n}\nF a 0\n")
+    assert m.step() == frozenset({"a"})
+    with pytest.raises(AemLinkError, match="ghost"):
+        m.step()
+
+
+@pytest.mark.parametrize("first, lands", [("MC", False), ("ME", True)])
+def test_landing_order_decides_a_payload_endpoint(first, lands):
+    # both metas fire together, and their payloads land in the order the
+    # metas were installed: the edge's target exists only once ME landed
+    metas = {"MC": "MC t {\n  C t b 1 1\n}\n", "ME": "ME t {\n  E b 1 0 computing\n}\n"}
+    second = "ME" if first == "MC" else "MC"
+    m = machine_of("E t 1 0 random\n" + metas[first] + metas[second] + "F t 0\n")
+    m.step()
+    if lands:
+        m.step()
+        assert m.connections[("t", "b")] == Connection("t", "b", 1, 1)
+    else:
+        with pytest.raises(AemLinkError, match="connection target 'b'"):
+            m.step()
+
+
 def test_long_delay_pulse_lands_exactly_once():
     m = machine_of("E a 1 0 random\nE b 1 0 computing\nC a b 1 5000\nF a 0\n")
     m.run_until(5001)
@@ -294,7 +319,9 @@ class FullScanMachine:
 
     `in_flight_rewires` counts landed meta connection commands whose source
     fired within the last four ticks, i.e. rewired an edge that may carry a
-    pulse in flight.
+    pulse in flight.  `repeated_edge_ticks` counts the ticks whose landing
+    payloads write one (source, target) edge more than once, where only the
+    last write may survive.
     """
 
     def __init__(self):
@@ -308,6 +335,7 @@ class FullScanMachine:
         self.last_fire = {}
         self.pending = {}
         self.in_flight_rewires = 0
+        self.repeated_edge_ticks = 0
 
     def apply(self, commands):
         for cmd in commands:
@@ -329,7 +357,11 @@ class FullScanMachine:
 
     def step(self):
         t = self.clock
-        for cmd in self.pending.pop(t, ()):
+        landing = self.pending.pop(t, ())
+        edges = [(c.source, c.target) for c in landing if isinstance(c, Connection)]
+        if len(set(edges)) < len(edges):
+            self.repeated_edge_ticks += 1
+        for cmd in landing:
             if isinstance(cmd, Element):
                 self.elements[cmd.name] = cmd
             else:
@@ -402,7 +434,7 @@ def out_edges(machine):
 def test_machine_matches_full_scan_oracle():
     import random
 
-    in_flight_rewires = fires = 0
+    in_flight_rewires = repeated_edge_ticks = fires = 0
     for seed in range(150):
         rng = random.Random(f"aem-diff:{seed}")
         names = [f"e{i}" for i in range(rng.randint(2, 6))]
@@ -425,9 +457,10 @@ def test_machine_matches_full_scan_oracle():
         assert machine.connections == oracle.connections
         assert machine.elements == oracle.elements
         in_flight_rewires += oracle.in_flight_rewires
+        repeated_edge_ticks += oracle.repeated_edge_ticks
         fires += sum(len(f) for f in oracle.trace.values())
     # the programs exercise what the comparison is for
-    assert in_flight_rewires > 1000 and fires > 2000
+    assert in_flight_rewires > 1000 and repeated_edge_ticks > 200 and fires > 2000
 
 
 # ---------------------------------------------------------------------------

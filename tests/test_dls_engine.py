@@ -78,7 +78,7 @@ def test_decode_hand_example():
 
 def test_decode_unknown_state():
     dls = _tiny_dls(ByteSource(b"\x00"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no physical map for state 'nope'"):
         dls.decode(BitVec(3, 0), "nope")
 
 
