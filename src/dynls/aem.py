@@ -10,7 +10,7 @@ whose readout firing pattern reproduces the step's physical output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
@@ -137,44 +137,35 @@ FiringTrace = list[frozenset]  # entry t: the elements that fired at tick t
 # ---------------------------------------------------------------------------
 # concrete syntax
 
-def _int(token: str, what: str) -> int:
+# A line is a command's letter, then its class's fields in declaration order.
+_COMMANDS = {"E": Element, "C": Connection, "F": FireCmd}
+_LETTERS = {cls: letter for letter, cls in _COMMANDS.items()}
+
+
+def _field(name: str, token: str):
+    """The value a token gives the command field `name`."""
+    if name == "kind":
+        return ElementKind(token)
+    if name in ("name", "source", "target", "trigger"):
+        if not _NAME_RE.match(token):
+            raise ValueError(f"bad element name {token!r}")
+        return token
     try:
         return int(token, 10)
     except ValueError:
-        raise ValueError(f"{what} must be an integer, got {token!r}") from None
-
-
-def _ref(token: str) -> str:
-    """A token naming an element that the command refers to."""
-    if not _NAME_RE.match(token):
-        raise ValueError(f"bad element name {token!r}")
-    return token
-
-
-_USAGE = {
-    "E": "E <name> <threshold> <refractory> <kind>",
-    "C": "C <from> <to> <amplitude> <delay>",
-    "F": "F <name> <tick>",
-}
+        raise ValueError(f"{name} must be an integer, got {token!r}") from None
 
 
 def _command(tokens: list) -> Command:
     """One E, C or F line.  The command types check their own values."""
-    usage = _USAGE.get(tokens[0])
-    if usage is None:
+    cls = _COMMANDS.get(tokens[0])
+    if cls is None:
         raise ValueError(f"unknown command {tokens[0]!r}")
-    if len(tokens) != len(usage.split()):
+    names = [f.name for f in fields(cls)]
+    if len(tokens) != 1 + len(names):
+        usage = " ".join([tokens[0], *(f"<{n}>" for n in names)])
         raise ValueError(f"expected: {usage}")
-    if tokens[0] == "E":
-        _, name, threshold, refractory, kind = tokens
-        threshold, refractory = _int(threshold, "threshold"), _int(refractory, "refractory")
-        return Element(name, threshold, refractory, ElementKind(kind))
-    if tokens[0] == "C":
-        _, source, target, amplitude, delay = tokens
-        amplitude, delay = _int(amplitude, "amplitude"), _int(delay, "delay")
-        return Connection(_ref(source), _ref(target), amplitude, delay)
-    _, name, tick = tokens
-    return FireCmd(_ref(name), _int(tick, "tick"))
+    return cls(*map(_field, names, tokens[1:]))
 
 
 def parse(text: str) -> AemProgram:
@@ -202,7 +193,7 @@ def parse(text: str) -> AemProgram:
                 raise ValueError(f"expected: {head} <trigger> {{")
             opened_at = lineno
             kind = MetaKind(head)
-            trigger = _ref(tokens[1])
+            trigger = _field("trigger", tokens[1])
             payload = []
             for lineno, tokens in lines:
                 if tokens == ["}"]:
@@ -219,25 +210,18 @@ def parse(text: str) -> AemProgram:
     return AemProgram(tuple(commands))
 
 
-def _print_cmd(cmd: Command) -> list:
-    if isinstance(cmd, Element):
-        return [f"E {cmd.name} {cmd.threshold} {cmd.refractory} {cmd.kind.value}"]
-    if isinstance(cmd, Connection):
-        return [f"C {cmd.source} {cmd.target} {cmd.amplitude} {cmd.delay}"]
-    if isinstance(cmd, FireCmd):
-        return [f"F {cmd.name} {cmd.tick}"]
-    lines = [f"{cmd.kind.value} {cmd.trigger} {{"]
-    for inner in cmd.payload:
-        lines.extend("  " + ln for ln in _print_cmd(inner))
-    lines.append("}")
-    return lines
+def _print_cmd(cmd: Command) -> str:
+    if isinstance(cmd, MetaCmd):
+        inner = "".join("  " + _print_cmd(c) for c in cmd.payload)
+        return f"{cmd.kind.value} {cmd.trigger} {{\n{inner}}}\n"
+    values = (getattr(cmd, f.name) for f in fields(cmd))
+    words = (str(v.value if isinstance(v, ElementKind) else v) for v in values)
+    return " ".join([_LETTERS[type(cmd)], *words]) + "\n"
 
 
 def print_program(program: AemProgram) -> str:
-    lines = []
-    for cmd in program.commands:
-        lines.extend(_print_cmd(cmd))
-    return "".join(line + "\n" for line in lines)
+    """The canonical text of `program`, which `parse` reads back."""
+    return "".join(map(_print_cmd, program.commands))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ blocking threshold fires but never forced ones).
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynls.aem import (
     AemLinkError,
@@ -273,6 +275,12 @@ def test_dangling_endpoints_rejected():
         m.apply([MetaCmd(MetaKind.CONNECTIONS, "ghost", ())])
 
 
+def test_apply_rejects_a_non_command():
+    with pytest.raises(TypeError) as err:
+        Machine().apply(["E a 1 0 plain"])
+    assert "not a command: 'E a 1 0 plain'" in str(err.value)
+
+
 def test_meta_payload_endpoint_checked_when_it_lands():
     # installing the meta checks only its trigger; the payload's edge is
     # checked at the tick it lands, one after `a` fires
@@ -524,12 +532,76 @@ def test_parse_meta_blocks():
         ("E a 1 0 random\nME a {\n  E 1b 1 0 plain\n}\n", "line 3"),
         ("E a 1 0 random\nMC a {\n  C a a x 1\n}\n", "line 3"),
         ("E a 1 0 random\nMC a {\n  C a a 1 0\n}\n", "line 3"),
+        ("MC a\n", "line 1"),
     ],
 )
 def test_parse_errors_carry_line_info(text, fragment):
     with pytest.raises(AemSyntaxError) as err:
         parse(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, usage",
+    [
+        ("E a 1 0", "E <name> <threshold> <refractory> <kind>"),
+        ("E a 1 0 plain x", "E <name> <threshold> <refractory> <kind>"),
+        ("C a b 1", "C <source> <target> <amplitude> <delay>"),
+        ("F a", "F <name> <tick>"),
+    ],
+)
+def test_arity_error_states_the_command_fields(line, usage):
+    with pytest.raises(AemSyntaxError) as err:
+        parse(line + "\n")
+    assert str(err.value) == f"line 1: expected: {usage}"
+
+
+_NAME_START = "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_names = st.builds(
+    str.__add__, st.sampled_from(_NAME_START), st.text(_NAME_START + "0123456789", max_size=5)
+)
+_elements = st.builds(
+    Element, _names, st.integers(-9, 9), st.integers(0, 9), st.sampled_from(ElementKind)
+)
+_connections = st.builds(Connection, _names, _names, st.integers(-9, 9), st.integers(1, 99))
+_fires = st.builds(FireCmd, _names, st.integers(0, 99))
+
+
+def _metas(kind, entries):
+    return st.builds(MetaCmd, st.just(kind), _names, st.lists(entries, max_size=5).map(tuple))
+
+
+@st.composite
+def _programs(draw):
+    # top-level element names must be distinct; payload ones need not be
+    declared = draw(st.lists(_elements, max_size=6, unique_by=lambda e: e.name))
+    others = draw(
+        st.lists(
+            st.one_of(
+                _connections,
+                _fires,
+                _metas(MetaKind.CONNECTIONS, _connections),
+                _metas(MetaKind.ELEMENTS, _elements),
+            ),
+            max_size=10,
+        )
+    )
+    return AemProgram(tuple(draw(st.permutations(declared + others))))
+
+
+@given(_programs())
+@settings(max_examples=300, deadline=None)
+def test_print_parse_round_trip_on_random_programs(prog):
+    printed = print_program(prog)
+    assert parse(printed) == prog
+    assert print_program(parse(printed)) == printed
+
+
+def test_element_built_directly_checks_its_name():
+    # parse rejects a bad name before the class sees it
+    with pytest.raises(ValueError) as err:
+        Element("1a", 1, 0, ElementKind.PLAIN)
+    assert "bad element name '1a'" in str(err.value)
 
 
 def test_print_parse_round_trip_on_corpus():

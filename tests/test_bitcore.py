@@ -278,6 +278,39 @@ def test_permute_requires_permutation():
         permute_coordinates(3, [0, 0, 2])
 
 
+@pytest.mark.parametrize(
+    "build, exc, fragment",
+    [
+        (lambda: BitVec.from_bits([0, 2]), ValueError, "bit 1 is 2, expected 0 or 1"),
+        (lambda: BitVec(4, 0).split(4), ValueError, "split point 4 out of range for width 4"),
+        (lambda: BitVec(3, 0) ^ BitVec(4, 0), ValueError, "width mismatch: 3 vs 4"),
+        (lambda: BoolFn(2, (0, 1, 0)), ValueError, "table length 3 != 2^2"),
+        (lambda: BoolFn(1, (0, 2)), ValueError, "table entries must be bits"),
+        (lambda: BoolFn.constant(2, 0)(BitVec(3, 0)), ValueError, "input width 3 != domain"),
+        (lambda: level_set(BoolFn.constant(2, 0), 2), ValueError, "level value must be a bit"),
+        (lambda: Affine(2, (1, 4), 0), ValueError, "row masks and offset must fit"),
+        (lambda: Affine(2, (1, 2), 4), ValueError, "row masks and offset must fit"),
+        (lambda: XorFamily(4, 8, 0, 0), ValueError, "masks must fit width-1 coordinates"),
+        (lambda: XorFamily(4, 0, 0, 2), ValueError, "flip must be a bit"),
+        (lambda: map_to_text(object()), TypeError, "unknown map representation: object"),
+    ],
+    ids=[
+        "from_bits", "split", "xor", "table_length", "table_entries", "call_width",
+        "level", "affine_rows", "affine_offset", "xorfam_masks", "xorfam_flip", "map_to_text",
+    ],
+)
+def test_input_checks_reject(build, exc, fragment):
+    with pytest.raises(exc) as err:
+        build()
+    assert fragment in str(err.value)
+
+
+def test_perm_table_applies_points_through_its_table():
+    # PermTable has no vectorized path of its own: it indexes its table
+    p = PermTable(2, (2, 3, 1, 0))
+    assert p.apply_points(np.array([3, 0, 0, 2])).tolist() == [0, 2, 2, 1]
+
+
 # ---------------------------------------------------------------------------
 # level sets
 # ---------------------------------------------------------------------------

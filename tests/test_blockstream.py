@@ -289,3 +289,10 @@ def test_bits_pack_unpack(bits):
 def test_from_bits_validates():
     with pytest.raises(ValueError):
         BitStream.from_bits([0, 2, 1])
+
+
+def test_repr_shows_the_first_32_bits():
+    assert repr(BitStream.from_bits([1, 0, 1])) == "BitStream(3 bits: 101)"
+    bits = [1, 1, 0] * 14
+    head = "".join(map(str, bits[:32]))
+    assert repr(BitStream.from_bits(bits)) == f"BitStream(42 bits: {head}...)"

@@ -511,6 +511,12 @@ def test_sampled_report_needs_a_sample(samples):
         sampled_secrecy_report(derived_xor_family(8, [0], seed=1), samples, seed=1)
 
 
+def test_sampled_histogram_needs_a_bit():
+    with pytest.raises(ValueError) as err:
+        sampled_observable_histogram(XorFamily(8, 0, 0, 0), 2, 10, seed=1)
+    assert "bit must be 0 or 1, got 2" in str(err.value)
+
+
 @pytest.mark.parametrize("derive", [derived_xor_family, derived_affine_family])
 def test_wide_sampled_report_memory_follows_samples(derive):
     from scipy import special  # noqa: F401  (loaded once, not per report)

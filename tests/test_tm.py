@@ -290,6 +290,31 @@ def test_malformed_machine_text_rejected(text):
         machine_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: instruction_index(8, 0), "pair (8,0) outside the packed range"),
+        (lambda: instruction_index(0, 4), "pair (0,4) outside the packed range"),
+        (lambda: binary_incrementer([]), "bits must be a nonempty 0/1 sequence"),
+        (lambda: binary_incrementer([1, 2]), "bits must be a nonempty 0/1 sequence"),
+    ],
+)
+def test_input_checks_reject(build, fragment):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert fragment in str(err.value)
+
+
+def test_tape_left_of_cell_zero_does_not_serialize():
+    # the hand oracle's incrementer halts with its carry on cell -1
+    program, config = binary_incrementer([1, 1])
+    final = run(program, config, max_steps=10).final
+    assert final.tape == {-1: 1}
+    with pytest.raises(ValueError) as err:
+        machine_to_text(program, final)
+    assert "only tapes on nonnegative cells serialize" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # schedules and long-running drivers
 # ---------------------------------------------------------------------------
