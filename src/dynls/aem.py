@@ -99,9 +99,10 @@ class MetaCmd:
     """A payload of rule rewrites applied one tick after `trigger` fires.
 
     Installing a meta command for a (kind, trigger) pair the machine
-    already holds replaces that payload wholesale.  `net` is the payload's
-    net effect: each rule keyed by its element name or its (source,
-    target) edge, a later rule replacing an earlier one with its key.
+    already holds replaces that payload wholesale.  `net` is this payload's
+    own net effect, merged with no other payload: each rule keyed by its
+    element name or its (source, target) edge, a later rule in the payload
+    replacing an earlier one with its key.
     """
 
     kind: MetaKind
@@ -237,11 +238,10 @@ class Machine:
     Pulses are integrated against the connection set current at their
     arrival tick, not the one in place when they were emitted.
 
-    The payloads landing on one tick act as one rewiring.  Consecutive
-    connection payloads merge into their net effect, in which the last
-    write to each (source, target) edge wins; element payloads keep their
-    place in the landing order, so a connection payload that lands before
-    the element payload declaring its endpoint raises `AemLinkError`.
+    The payloads due on one tick land one by one in trigger order (the
+    order of `metas`), each as its own net effect: a later payload's write
+    to an edge or element wins, and a connection payload landing before the
+    element payload that declares its endpoint raises `AemLinkError`.
     Re-installing a connection object already in place is skipped after
     one lookup, and re-declaring an element object rewrites its entry
     unchanged.
@@ -331,15 +331,11 @@ class Machine:
         t = len(trace)
         if self._pending:
             pending, self._pending = self._pending, []
-            net: dict = {}  # the run of connection payloads not yet landed, merged
             for meta in pending:
                 if meta.kind is MetaKind.CONNECTIONS:
-                    net = {**net, **meta.net} if net else meta.net
+                    self._land(meta.net)
                 else:
-                    self._land(net)
-                    net = {}
                     self.elements.update(meta.net)
-            self._land(net)
 
         fired = set(self._forced.pop(t, ()))
         sums: dict[str, int] = {}

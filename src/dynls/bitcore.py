@@ -200,7 +200,8 @@ def gf2_inverse_rows(rows: Sequence[int], width: int) -> tuple[int, ...] | None:
 
 
 class InvertibleMap:
-    """A bijection on {0,1}^width.  Subclasses implement the scalar core."""
+    """A bijection on {0,1}^width.  Subclasses implement the scalar core;
+    only the affine kinds also apply an array of points (`apply_points`)."""
 
     width: int
 
@@ -219,10 +220,6 @@ class InvertibleMap:
         """Full permutation table as a fresh int64 array (vectorized paths),
         which the caller may change in place."""
         raise NotImplementedError
-
-    def apply_points(self, x: np.ndarray) -> np.ndarray:
-        """Images of an int64 array of points (vectorized paths)."""
-        return self.to_table_array()[x]
 
 
 @dataclass(frozen=True)

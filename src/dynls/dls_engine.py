@@ -155,7 +155,7 @@ class StepViolation:
     state: Any
     expected_bit: int
     decoded_bit: int
-    kind: str = "level_set"  # or "random_part" when auditing supplied runs
+    kind: str = "level_set"  # or "random_part": the bit decoded, the random part did not
 
 
 @dataclass(frozen=True)
@@ -193,35 +193,29 @@ def verify_invariance(
     steps: int | None = None,
     realizations: Sequence[Realization] | None = None,
 ) -> InvarianceReport:
-    """Check that every step's physical state decodes onto the correct side
-    of f's level set.  Point j of the run is ``points[j % len(points)]``.
-
-    Pass ``realizations`` to audit an existing run (fault injection, replay)
-    instead of generating a fresh one; its length then sets the step count.
+    """Check that every step's physical state decodes back to its random
+    part and onto the correct side of f's level set; point j of the run is
+    ``points[j % len(points)]``.  A fresh run of ``steps`` is realized step
+    by step, or pass ``realizations`` to audit an existing one (fault
+    injection, replay), whose length then sets the step count.
     """
     if not points:
         raise ValueError("need at least one logical point")
     if realizations is not None:
         realizations = list(realizations)
         steps = len(realizations)
-    if steps is None:
+    elif steps is None:
         raise ValueError("steps is required when realizations are generated")
+    else:
+        realizations = (dls.realize(j, f(points[j % len(points)])) for j in range(steps))
     violations = []
-    for j in range(steps):
-        point = points[j % len(points)]
-        expected = f(point)
-        if realizations is not None:
-            real = realizations[j]
-        else:
-            real = dls.realize(j, expected)
+    for j, real in enumerate(realizations):
+        expected = f(points[j % len(points)])
         decoded_r, decoded = dls.decode(real.physical, real.state)
         if decoded != expected or real.logical_bit != expected:
             violations.append(StepViolation(j, real.state, expected, decoded))
-        elif realizations is not None and decoded_r.value != real.random_part.value:
-            # the membership bit survived, but the pattern was tampered with
-            violations.append(
-                StepViolation(j, real.state, expected, decoded, kind="random_part")
-            )
+        elif decoded_r.value != real.random_part.value:  # the bit survived, the pattern did not
+            violations.append(StepViolation(j, real.state, expected, decoded, "random_part"))
     return InvarianceReport(steps, tuple(violations))
 
 
@@ -335,11 +329,12 @@ def sampled_observable_histogram(
     """Observable histogram under ``samples`` uniformly drawn random parts,
     as its occupied cells in ascending order and their counts.
 
-    Up to ``SAMPLE_CHUNK`` observable cells the map's table gives each
-    chunk's cells.  Above that the map is applied to the drawn points, and
-    cells are counted in a dense histogram when there are no more of them
-    than samples, by sorting otherwise: no 2^width table is built, time
-    follows the sample count and memory min(samples, 2^(width-1)).
+    An affine map (`Affine`, `XorFamily`) above ``SAMPLE_CHUNK`` observable
+    cells is applied to the drawn points, with no 2^width table; any other
+    map's table, built once, gives each chunk's cells.  Cells are counted
+    in a dense histogram when there are no more of them than samples, by
+    sorting otherwise, so an affine map's time follows the sample count and
+    its memory min(samples, 2^(width-1)).
     """
     if b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b}")
@@ -352,7 +347,8 @@ def sampled_observable_histogram(
         | (b << (m.width - 1))
         for done in range(0, samples, SAMPLE_CHUNK)
     )
-    apply = m.to_table_array().__getitem__ if half <= SAMPLE_CHUNK else m.apply_points
+    affine = isinstance(m, (Affine, XorFamily))  # as `verify_perfect_secrecy` tests
+    apply = m.apply_points if affine and half > SAMPLE_CHUNK else m.to_table_array().__getitem__
     observed = (apply(points) & (half - 1) for points in chunks)
     if half > max(SAMPLE_CHUNK, samples):
         return np.unique(np.concatenate(list(observed)), return_counts=True)

@@ -305,12 +305,6 @@ def test_input_checks_reject(build, exc, fragment):
     assert fragment in str(err.value)
 
 
-def test_perm_table_applies_points_through_its_table():
-    # PermTable has no vectorized path of its own: it indexes its table
-    p = PermTable(2, (2, 3, 1, 0))
-    assert p.apply_points(np.array([3, 0, 0, 2])).tolist() == [0, 2, 2, 1]
-
-
 # ---------------------------------------------------------------------------
 # level sets
 # ---------------------------------------------------------------------------

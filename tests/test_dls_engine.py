@@ -248,6 +248,28 @@ def test_invariance_catches_observable_tampering():
     assert report.violations[0].decoded_bit == f(points[11])
 
 
+class _KeepsTheBitLosesTheRandomPart(XorFamily):
+    # a mask-pair map whose inverse decodes the hidden bit right but flips
+    # random coordinate 0, so every step loses its random part
+    def invert(self):
+        inv = super().invert()
+        return PermTable(self.width, tuple(inv.apply_int(y) ^ 1 for y in range(1 << self.width)))
+
+
+def test_generated_run_audits_the_random_part():
+    f = reference_write_high_indicator()
+    dls, points = _fixture_dls(8, 3, SeededSource(3))
+    fam = {
+        state: _KeepsTheBitLosesTheRandomPart(m.width, m.mask0, m.mask1, m.flip)
+        for state, m in dls.family.items()
+    }
+    dls = DlsDecomposition(fam, dls.scheduler, dls.source)
+    report = verify_invariance(dls, f, points, steps=40)
+    assert [v.step for v in report.violations] == list(range(40))
+    assert all(v.kind == "random_part" for v in report.violations)
+    assert all(v.decoded_bit == v.expected_bit for v in report.violations)
+
+
 def test_constant_zero_function_always_decodes_zero():
     f = BoolFn.constant(5, 0)
     dls, points = _fixture_dls(10, 5, SeededSource(5))
@@ -451,6 +473,23 @@ def test_wide_sampled_histogram_chunks_match_one_draw(width):
 
 def _small_perm(width):
     return PermTable(width, tuple(random.Random(width).sample(range(1 << width), 1 << width)))
+
+
+def test_sampled_perm_builds_its_table_once(monkeypatch):
+    # above SAMPLE_CHUNK cells only the affine kinds apply points; a perm
+    # map's table serves every chunk
+    import dynls.dls_engine as engine
+
+    builds = []
+    build = PermTable.to_table_array
+    monkeypatch.setattr(engine, "SAMPLE_CHUNK", 16)
+    monkeypatch.setattr(PermTable, "to_table_array", lambda m: builds.append(m) or build(m))
+    m = _small_perm(8)
+    cells, counts = sampled_observable_histogram(m, 1, 100, seed=5)
+    assert len(builds) == 1
+    r = np.random.default_rng(5).integers(0, 128, size=100, dtype=np.int64)
+    want = np.unique(build(m)[r | 128] & 127, return_counts=True)
+    assert np.array_equal(cells, want[0]) and np.array_equal(counts, want[1])
 
 
 @pytest.mark.parametrize("width", range(2, 25))
