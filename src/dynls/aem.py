@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .bitcore import BitVec, InvertibleMap, XorFamily
-from .dls_engine import _fmt_state
+from .dls_engine import Realization, verify_invariance
 from .tm import TmProgram, instruction_index, transition_components
 
 
@@ -537,18 +537,10 @@ def readout_physical(trace: FiringTrace, base_tick: int, width: int) -> BitVec:
 
 
 @dataclass(frozen=True)
-class RealizationMismatch:
-    step: int
-    state: tuple
-    expected: BitVec
-    got: BitVec
-
-
-@dataclass(frozen=True)
 class UtmRunReport:
     requested_steps: int
     effective_steps: int
-    violations: tuple
+    violations: tuple  # of dls_engine.StepViolation
     observables: tuple
 
     @property
@@ -564,13 +556,9 @@ class UtmRunReport:
             f"steps={self.effective_steps}/{self.requested_steps}",
             f"violations={len(self.violations)}",
             f"distinct_observables={self.distinct_observables}",
+            *self.violations,
         ]
-        for v in self.violations:
-            lines.append(
-                f"step={v.step} state={_fmt_state(v.state)} "
-                f"expected={v.expected} got={v.got}"
-            )
-        return "".join(line + "\n" for line in lines)
+        return "".join(f"{line}\n" for line in lines)
 
 
 def run_utm_realization(program: TmProgram, dls, steps: int):
@@ -579,38 +567,36 @@ def run_utm_realization(program: TmProgram, dls, steps: int):
     The schedule is the run: ``dls.scheduler.values`` holds the (state,
     symbol) pairs from ``tm.instruction_trace``, and step j realizes pair
     j, up to ``steps`` of them, in the epoch at base tick 3j.  Its logical
-    bit is the pair's high write-symbol component, the engine draws the
-    random part, and the readout is checked against the engine's physical
-    word.  A machine that halted early gives a shorter run; the report
-    records both step counts.
+    bit is f(pair), f the high write-symbol component on the packed pair,
+    and the engine draws the random part.  Each step's readout is handed,
+    as it is read, to ``dls_engine.verify_invariance``, which decodes it
+    onto f's level set and back to the random part.  A machine that halted
+    early gives a shorter run; the report records both step counts.
 
     Returns (trace, report).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    bit_fn = transition_components(program)[3]
+    f = transition_components(program)[3]
     pairs = dls.scheduler.values[:steps]
+    if not pairs:  # the machine halted before its first step
+        return [], UtmRunReport(steps, 0, (), ())
+    point_of = {pair: BitVec(5, instruction_index(*pair)) for pair in set(pairs)}
+    points = [point_of[pair] for pair in pairs]
 
     machine = Machine()
     mask = (1 << (dls.width - 1)) - 1
     observables = []
-    violations = []
-    for j, pair in enumerate(pairs):
-        bit = bit_fn.table[instruction_index(*pair)]
-        real = dls.realize(j, bit)
-        base = EPOCH_TICKS * j
-        machine.apply(compile_step(dls.map_for(pair), real.random_part, bit, base))
-        machine.run_until(base + EPOCH_TICKS - 1)
-        got = readout_physical(machine.trace, base, dls.width)
-        _, decoded_bit = dls.decode(got, pair)
-        if got != real.physical or decoded_bit != bit:
-            violations.append(RealizationMismatch(j, pair, real.physical, got))
-        observables.append(got.value & mask)
 
-    report = UtmRunReport(
-        requested_steps=steps,
-        effective_steps=len(pairs),
-        violations=tuple(violations),
-        observables=tuple(observables),
-    )
-    return machine.trace, report
+    def readouts():
+        for j, pair in enumerate(pairs):
+            real = dls.realize(j, f(points[j]))
+            base = EPOCH_TICKS * j
+            machine.apply(compile_step(dls.map_for(pair), real.random_part, real.logical_bit, base))
+            machine.run_until(base + EPOCH_TICKS - 1)
+            got = readout_physical(machine.trace, base, dls.width)
+            observables.append(got.value & mask)
+            yield Realization(j, pair, real.random_part, real.logical_bit, got)
+
+    audit = verify_invariance(dls, f, points, realizations=readouts())
+    return machine.trace, UtmRunReport(steps, audit.steps, audit.violations, tuple(observables))

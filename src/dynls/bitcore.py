@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,21 +109,10 @@ class BoolFn:
             raise ValueError("table entries must be bits")
 
     @classmethod
-    def from_callable(cls, domain_width: int, fn: Callable[[BitVec], int]) -> "BoolFn":
-        return cls(
-            domain_width,
-            tuple(int(fn(BitVec(domain_width, x))) for x in range(1 << domain_width)),
-        )
-
-    @classmethod
     def from_members(cls, domain_width: int, members: Iterable[BitVec | int]) -> "BoolFn":
         """Indicator function of a set of points."""
         hot = {int(m) for m in members}
         return cls(domain_width, tuple(1 if x in hot else 0 for x in range(1 << domain_width)))
-
-    @classmethod
-    def constant(cls, domain_width: int, value: int) -> "BoolFn":
-        return cls(domain_width, (int(value),) * (1 << domain_width))
 
     def __call__(self, x: BitVec) -> int:
         if x.width != self.domain_width:

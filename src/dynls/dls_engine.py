@@ -157,6 +157,12 @@ class StepViolation:
     decoded_bit: int
     kind: str = "level_set"  # or "random_part": the bit decoded, the random part did not
 
+    def __str__(self) -> str:
+        return (
+            f"step={self.step} state={_fmt_state(self.state)} kind={self.kind} "
+            f"expected={self.expected_bit} decoded={self.decoded_bit}"
+        )
+
 
 @dataclass(frozen=True)
 class InvarianceReport:
@@ -168,13 +174,8 @@ class InvarianceReport:
         return not self.violations
 
     def to_text(self) -> str:
-        lines = [f"steps={self.steps} violations={len(self.violations)}"]
-        for v in self.violations:
-            lines.append(
-                f"step={v.step} state={_fmt_state(v.state)} kind={v.kind} "
-                f"expected={v.expected_bit} decoded={v.decoded_bit}"
-            )
-        return "".join(line + "\n" for line in lines)
+        header = f"steps={self.steps} violations={len(self.violations)}"
+        return "".join(f"{line}\n" for line in (header, *self.violations))
 
 
 def _fmt_state(state: Any) -> str:
@@ -191,25 +192,25 @@ def verify_invariance(
     f: BoolFn,
     points: Sequence[BitVec],
     steps: int | None = None,
-    realizations: Sequence[Realization] | None = None,
+    realizations: Iterable[Realization] | None = None,
 ) -> InvarianceReport:
     """Check that every step's physical state decodes back to its random
     part and onto the correct side of f's level set; point j of the run is
     ``points[j % len(points)]``.  A fresh run of ``steps`` is realized step
-    by step, or pass ``realizations`` to audit an existing one (fault
-    injection, replay), whose length then sets the step count.
+    by step, or pass ``realizations``, any iterable, to audit an existing
+    run (a firing machine's readouts, fault injection, replay).  Each step
+    is audited as it arrives, and the steps audited set the step count.
     """
     if not points:
         raise ValueError("need at least one logical point")
-    if realizations is not None:
-        realizations = list(realizations)
-        steps = len(realizations)
-    elif steps is None:
-        raise ValueError("steps is required when realizations are generated")
-    else:
+    if realizations is None:
+        if steps is None:
+            raise ValueError("steps is required when realizations are generated")
         realizations = (dls.realize(j, f(points[j % len(points)])) for j in range(steps))
+    steps = 0
     violations = []
     for j, real in enumerate(realizations):
+        steps += 1
         expected = f(points[j % len(points)])
         decoded_r, decoded = dls.decode(real.physical, real.state)
         if decoded != expected or real.logical_bit != expected:

@@ -67,12 +67,6 @@ class RunResult:
     halted: bool
 
 
-def step(program: TmProgram, config: TmConfig) -> TmConfig | None:
-    """One step, or None if no rule applies.  The input config is untouched."""
-    result = run(program, config, 1)
-    return None if result.halted else result.final
-
-
 def _check_config(program: TmProgram, config: TmConfig) -> None:
     if not 0 <= config.state < program.num_states:
         raise ValueError(f"start state {config.state} out of range")
@@ -142,30 +136,6 @@ def transition_components(program: TmProgram) -> tuple[BoolFn, ...]:
         tables[4][idx] = a2 & 1
         tables[5][idx] = 1 if mv == "R" else 0
     return tuple(BoolFn(5, tuple(t)) for t in tables)
-
-
-# Fixed fixture shared across the suite: the instruction pairs of an 8-state,
-# 4-symbol machine whose written symbol has its high bit set.  Frozen as data
-# so tests never depend on reconstructing the machine behind it.
-_WRITE_HIGH_PAIRS = (
-    (7, 0),
-    (6, 0), (6, 1), (6, 2),
-    (5, 0), (5, 1), (5, 2),
-    (4, 0), (4, 2),
-    (3, 1), (3, 2),
-    (2, 3), (2, 1), (2, 0),
-)
-
-
-def reference_write_high_set() -> frozenset[tuple[int, int]]:
-    return frozenset(_WRITE_HIGH_PAIRS)
-
-
-def reference_write_high_indicator() -> BoolFn:
-    """Indicator of the fixture set on the packed 5-bit domain."""
-    return BoolFn.from_members(
-        5, [instruction_index(q, a) for q, a in _WRITE_HIGH_PAIRS]
-    )
 
 
 # ---------------------------------------------------------------------------

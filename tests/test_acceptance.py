@@ -31,11 +31,10 @@ from dynls.tm import (
     binary_incrementer,
     endless_counter,
     instruction_trace,
-    reference_write_high_indicator,
-    reference_write_high_set,
     run,
     write_machine,
 )
+from write_high import reference_write_high_indicator, reference_write_high_set
 
 
 def elapsed_under(t0, budget, what):

@@ -6,6 +6,7 @@ taking effect one tick after their trigger fires, refractory windows
 blocking threshold fires but never forced ones).
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -30,10 +31,11 @@ from dynls.aem import (
     run_utm_realization,
     trace_to_jsonl,
 )
-from dynls.bitcore import Affine, BitVec, XorFamily, random_affine_invertible
+from dynls.bitcore import Affine, BitVec, PermTable, XorFamily, random_affine_invertible
 from dynls.dls_engine import (
     DlsDecomposition,
     Schedule,
+    derived_affine_family,
     derived_xor_family,
     realize_step,
 )
@@ -785,12 +787,44 @@ def test_run_utm_observables_fill_the_range():
     assert all(0 <= o < 2**14 for o in report.observables)
 
 
+@pytest.mark.parametrize("kind", ["perm", "affine"])
+def test_run_utm_audits_readouts_through_each_inverse(kind):
+    # neither representation is its own inverse: every readout is decoded
+    # through the family's invert(), a random table for "perm"
+    program, config = endless_counter()
+    sched = Schedule(instruction_trace(program, config, 200))
+    states = sorted(set(sched.values))
+    if kind == "perm":
+        rnd = random.Random(9)
+        family = {s: PermTable(15, tuple(rnd.sample(range(1 << 15), 1 << 15))) for s in states}
+    else:
+        family = derived_affine_family(15, states, seed=9)
+    dls = DlsDecomposition(family, sched, SeededSource(9))
+    _, report = run_utm_realization(program, dls, steps=200)
+    assert report.violations == ()
+    assert report.effective_steps == len(sched) == 200
+
+
+def test_run_utm_of_an_empty_schedule_is_an_empty_run():
+    program, _ = endless_counter()
+    dls = DlsDecomposition(derived_xor_family(15, [(0, 0)], 1), Schedule([]), SeededSource(1))
+    trace, report = run_utm_realization(program, dls, steps=10)
+    assert trace == []
+    assert report.to_text() == "steps=0/10\nviolations=0\ndistinct_observables=0\n"
+
+
 class _OffByOne(XorFamily):
-    """A planted fault: the engine's image has coordinate 0 flipped, while
-    compile_step still wires the masks, so no readout can match it."""
+    """A planted fault: a bijection whose image has coordinate 0 flipped,
+    and whose inverse undoes that flip, while compile_step still wires the
+    plain masks, so every readout decodes with random coordinate 0 flipped."""
 
     def apply_int(self, x: int) -> int:
         return super().apply_int(x) ^ 1
+
+    def invert(self) -> "_OffByOne":
+        # the flip sits below the hidden bit, so it commutes with the masks
+        inv = super().invert()
+        return _OffByOne(inv.width, inv.mask0, inv.mask1, inv.flip)
 
 
 def test_run_utm_reports_every_mismatch_as_key_value_tokens():
@@ -806,7 +840,8 @@ def test_run_utm_reports_every_mismatch_as_key_value_tokens():
     _, report = run_utm_realization(program, dls, steps=20)
     assert not report.ok
     assert [v.step for v in report.violations] == list(range(20))
-    assert all(v.got.value ^ v.expected.value == 1 for v in report.violations)
+    assert all(v.kind == "random_part" for v in report.violations)
+    assert all(v.decoded_bit == v.expected_bit for v in report.violations)
     lines = report.to_text().splitlines()
     assert lines[1] == "violations=20"
     assert len(lines) == 3 + 20
@@ -814,7 +849,8 @@ def test_run_utm_reports_every_mismatch_as_key_value_tokens():
         fields = [token.partition("=") for token in line.split()]
         assert all(key and sep and value for key, sep, value in fields), line
     q, a = sched.values[0]
-    assert lines[3].startswith(f"step=0 state=({q},{a}) expected=")
+    bit = program.transitions[q, a][1] >> 1
+    assert lines[3] == f"step=0 state=({q},{a}) kind=random_part expected={bit} decoded={bit}"
 
 
 def test_run_utm_pattern_variety_regression():

@@ -57,7 +57,7 @@ def test_perm_table_hand_inverse():
 
 
 def test_parity_level_set_members():
-    f = BoolFn.from_callable(3, lambda v: parity(v.value))
+    f = BoolFn(3, tuple(parity(x) for x in range(8)))
     ls = level_set(f, 1)
     assert {v.value for v in ls.members} == {1, 2, 4, 7}
     assert len(ls) == 4
@@ -286,8 +286,8 @@ def test_permute_requires_permutation():
         (lambda: BitVec(3, 0) ^ BitVec(4, 0), ValueError, "width mismatch: 3 vs 4"),
         (lambda: BoolFn(2, (0, 1, 0)), ValueError, "table length 3 != 2^2"),
         (lambda: BoolFn(1, (0, 2)), ValueError, "table entries must be bits"),
-        (lambda: BoolFn.constant(2, 0)(BitVec(3, 0)), ValueError, "input width 3 != domain"),
-        (lambda: level_set(BoolFn.constant(2, 0), 2), ValueError, "level value must be a bit"),
+        (lambda: BoolFn(2, (0,) * 4)(BitVec(3, 0)), ValueError, "input width 3 != domain"),
+        (lambda: level_set(BoolFn(2, (0,) * 4), 2), ValueError, "level value must be a bit"),
         (lambda: Affine(2, (1, 4), 0), ValueError, "row masks and offset must fit"),
         (lambda: Affine(2, (1, 2), 4), ValueError, "row masks and offset must fit"),
         (lambda: XorFamily(4, 8, 0, 0), ValueError, "masks must fit width-1 coordinates"),
@@ -311,7 +311,7 @@ def test_input_checks_reject(build, exc, fragment):
 
 
 def test_level_sets_partition_the_domain():
-    f = BoolFn.from_callable(4, lambda v: v.bit(0) & v.bit(3))
+    f = BoolFn(4, tuple(x & 1 & (x >> 3) for x in range(16)))
     ones = level_set(f, 1)
     zeros = level_set(f, 0)
     assert len(ones) + len(zeros) == 16

@@ -49,7 +49,7 @@ from dynls.dls_engine import (
     verify_perfect_secrecy,
 )
 from dynls.rand import ByteSource, SeededSource
-from dynls.tm import reference_write_high_indicator
+from write_high import reference_write_high_indicator
 
 # ---------------------------------------------------------------------------
 # encode / decode
@@ -270,8 +270,32 @@ def test_generated_run_audits_the_random_part():
     assert all(v.decoded_bit == v.expected_bit for v in report.violations)
 
 
+def test_supplied_run_is_audited_as_it_arrives(monkeypatch):
+    # the audit holds no list of the run: step j is decoded before step
+    # j + 1 is produced
+    f = reference_write_high_indicator()
+    dls, points = _fixture_dls(8, 3, SeededSource(3))
+    decoded = []
+    decode = dls.decode
+
+    def counted(physical, state):
+        decoded.append(state)
+        return decode(physical, state)
+
+    monkeypatch.setattr(dls, "decode", counted)
+
+    def run():
+        for j in range(20):
+            assert len(decoded) == j
+            yield dls.realize(j, f(points[j]))
+
+    report = verify_invariance(dls, f, points, realizations=run())
+    assert report.ok
+    assert report.steps == len(decoded) == 20
+
+
 def test_constant_zero_function_always_decodes_zero():
-    f = BoolFn.constant(5, 0)
+    f = BoolFn(5, (0,) * 32)
     dls, points = _fixture_dls(10, 5, SeededSource(5))
     report = verify_invariance(dls, f, points, steps=200)
     assert report.ok

@@ -28,12 +28,10 @@ from dynls.tm import (
     instruction_trace,
     machine_from_text,
     machine_to_text,
-    reference_write_high_indicator,
-    reference_write_high_set,
     run,
-    step,
     transition_components,
 )
+from write_high import reference_write_high_indicator, reference_write_high_set
 
 # ---------------------------------------------------------------------------
 # frozen hand oracle
@@ -65,13 +63,13 @@ def test_incrementer_carries_over_zero():
 def test_step_returns_none_after_halt():
     program, _ = binary_incrementer([1])
     halted = TmConfig(tape={}, head=0, state=1)
-    assert step(program, halted) is None
+    assert run(program, halted, 1).halted
 
 
 def test_step_is_pure():
     program, config = binary_incrementer([1, 1])
     before = dict(config.tape)
-    step(program, config)
+    run(program, config, 1)
     assert config.tape == before
 
 
