@@ -113,14 +113,14 @@ class MetaCmd:
     def __post_init__(self):
         edges = self.kind is MetaKind.CONNECTIONS
         want = Connection if edges else Element
-        net = {}
-        for cmd in self.payload:
-            if not isinstance(cmd, want):
-                raise ValueError(
-                    f"{self.kind.value} payload may only hold "
-                    f"{want.__name__} entries, got {type(cmd).__name__}"
-                )
-            net[(cmd.source, cmd.target) if edges else cmd.name] = cmd
+        payload = self.payload
+        stray = next((cmd for cmd in payload if not isinstance(cmd, want)), None)
+        if stray is not None:
+            raise ValueError(
+                f"{self.kind.value} payload may only hold "
+                f"{want.__name__} entries, got {type(stray).__name__}"
+            )
+        net = {(c.source, c.target): c for c in payload} if edges else {c.name: c for c in payload}
         object.__setattr__(self, "net", net)
 
 
@@ -242,8 +242,9 @@ class Machine:
     order of `metas`), each as its own net effect: a later payload's write
     to an edge or element wins, and a connection payload landing before the
     element payload that declares its endpoint raises `AemLinkError`.
-    Re-installing a connection object already in place is skipped after
-    one lookup, and re-declaring an element object rewrites its entry
+    Re-installing a connection object already in place, or deleting an
+    edge that is absent (whatever its endpoints), is skipped after one
+    lookup, and re-declaring an element object rewrites its entry
     unchanged.
 
     Pulses are found event by event: for each delay d some connection
@@ -273,22 +274,22 @@ class Machine:
     def apply(self, commands: Union[AemProgram, Iterable[Command]]) -> None:
         if isinstance(commands, AemProgram):
             commands = commands.commands
-        elements = self.elements
+        elements, forced, clock = self.elements, self._forced, len(self.trace)
         for cmd in commands:
-            if isinstance(cmd, Element):
+            kind = type(cmd)
+            if kind is Element:
                 elements[cmd.name] = cmd
-            elif isinstance(cmd, FireCmd):
+            elif kind is FireCmd:
                 if cmd.name not in elements:
                     self._require(cmd.name, "fire target")
-                if cmd.tick < len(self.trace):
+                if cmd.tick < clock:
                     raise AemLinkError(
-                        f"cannot fire {cmd.name!r} at past tick {cmd.tick} "
-                        f"(clock is {self.clock})"
+                        f"cannot fire {cmd.name!r} at past tick {cmd.tick} (clock is {clock})"
                     )
-                self._forced.setdefault(cmd.tick, set()).add(cmd.name)
-            elif isinstance(cmd, Connection):
+                (forced.get(cmd.tick) or forced.setdefault(cmd.tick, set())).add(cmd.name)
+            elif kind is Connection:
                 self._land({(cmd.source, cmd.target): cmd})
-            elif isinstance(cmd, MetaCmd):
+            elif kind is MetaCmd:
                 self._require(cmd.trigger, "meta trigger")
                 self.metas[(cmd.kind, cmd.trigger)] = cmd
             else:
@@ -303,7 +304,7 @@ class Machine:
         connections, elements, out = self.connections, self.elements, self._out
         for key, c in net.items():
             old = connections.get(key)
-            if old is c:
+            if old is c or old is None and not c.amplitude:
                 continue
             if old is None:
                 if c.source not in elements or c.target not in elements:
@@ -321,8 +322,10 @@ class Machine:
                         del out[old.delay]
             if c.amplitude:
                 connections[key] = c
-                out.setdefault(c.delay, {}).setdefault(c.source, {})[c.target] = c.amplitude
-            elif old is not None:
+                sources = out.get(c.delay) or out.setdefault(c.delay, {})
+                edges = sources.get(c.source) or sources.setdefault(c.source, {})
+                edges[c.target] = c.amplitude
+            else:
                 del connections[key]
 
     def step(self) -> frozenset:
@@ -337,7 +340,7 @@ class Machine:
                 else:
                     self.elements.update(meta.net)
 
-        fired = set(self._forced.pop(t, ()))
+        fired = self._forced.pop(t, None) or set()
         sums: dict[str, int] = {}
         for delay, sources in self._out.items():
             for source in trace[t - delay] if delay <= t else ():
@@ -469,6 +472,21 @@ def _mask_metas(width: int, mask0: int, mask1: int, flip: int) -> tuple[MetaCmd,
     )
 
 
+@lru_cache(maxsize=None)
+def _value_payloads(width: int) -> tuple[tuple[tuple[Connection, ...], ...], ...]:
+    """Entry v of table k: the output-driven payload of coordinates 8k..,
+    value v on them, each coordinate's strobe edge on where its bit is set
+    and off where clear, then its input edge cut."""
+    wires = _step_parts(width).wires
+    return tuple(
+        tuple(
+            tuple(c for i, w in enumerate(chunk) for c in (w.on if v >> i & 1 else w.off, w.cut))
+            for v in range(1 << len(chunk))
+        )
+        for chunk in (wires[lo : lo + 8] for lo in range(0, width, 8))
+    )
+
+
 # clears any bit-1 override a previous epoch may have installed
 _NO_OVERRIDE = MetaCmd(MetaKind.CONNECTIONS, BIT_IN, ())
 
@@ -491,8 +509,9 @@ def compile_step(
 
     Maps with no special structure are wired from their output: the strobe
     drives each set coordinate directly and every input-to-output edge is
-    deleted.  Only the fires and that output-driven payload are built per
-    call; the rest is shared by every step of the same width and map.
+    deleted.  Only the fires and that output-driven payload, joined from
+    shared fragments one per value byte, are built per call; the rest is
+    shared by every step of the same width and map.
     """
     width = family_map.width
     k = width - 1
@@ -503,27 +522,16 @@ def compile_step(
     parts = _step_parts(width)
 
     x = r.value | logical_bit << k  # the map's input: bit i fires inputs[i]
-    cmds: list = [
-        *parts.elements,
-        FireCmd(GO, base_tick),
-        *[FireCmd(name, base_tick) for i, name in enumerate(parts.inputs) if x >> i & 1],
-    ]
-
+    fires = [FireCmd(name, base_tick) for i, name in enumerate(parts.inputs) if x >> i & 1]
     if isinstance(family_map, XorFamily):
-        cmds.extend(
-            _mask_metas(width, family_map.mask0, family_map.mask1, family_map.flip)
-        )
+        metas = _mask_metas(width, family_map.mask0, family_map.mask1, family_map.flip)
     else:
-        value = family_map.apply_int(x)
-        payload = tuple(
-            cmd
-            for i, w in enumerate(parts.wires)
-            for cmd in (w.on if (value >> i) & 1 else w.off, w.cut)
-        )
-        cmds.append(MetaCmd(MetaKind.CONNECTIONS, GO, payload))
-        cmds.append(_NO_OVERRIDE)
-    cmds.append(parts.rearm)
-    return AemProgram(tuple(cmds))
+        value, payload = family_map.apply_int(x), ()
+        for table in _value_payloads(width):
+            payload += table[value & 0xFF]
+            value >>= 8
+        metas = (MetaCmd(MetaKind.CONNECTIONS, GO, payload), _NO_OVERRIDE)
+    return AemProgram((*parts.elements, FireCmd(GO, base_tick), *fires, *metas, parts.rearm))
 
 
 def readout_physical(trace: FiringTrace, base_tick: int, width: int) -> BitVec:

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_WIDTH = 24
 
@@ -47,8 +49,8 @@ class BitVec:
     value: int
 
     def __post_init__(self) -> None:
-        _check_width(self.width)
-        if not 0 <= self.value < (1 << self.width):
+        if not (1 <= self.width <= MAX_WIDTH and 0 <= self.value < 1 << self.width):
+            _check_width(self.width)
             raise ValueError(f"value {self.value} out of range for width {self.width}")
 
     @classmethod
@@ -237,16 +239,19 @@ class PermTable(InvertibleMap):
         return PermTable(self.width, tuple(inv), _trusted=True)
 
     def to_table_array(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.table, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class Affine(InvertibleMap):
-    """x -> A.x ^ offset with A given as row masks and invertible over GF(2)."""
+    """x -> A.x ^ offset with A given as row masks and invertible over GF(2),
+    applied through one table per input byte: entry v of table k is A.(v << 8k)."""
 
     width: int
     rows: tuple[int, ...]
     offset: int
+    _trusted: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_width(self.width)
@@ -255,20 +260,32 @@ class Affine(InvertibleMap):
             raise ValueError(f"expected {self.width} rows, got {len(self.rows)}")
         if any(not 0 <= r < limit for r in self.rows) or not 0 <= self.offset < limit:
             raise ValueError("row masks and offset must fit the width")
-        if gf2_inverse_rows(self.rows, self.width) is None:
+        if not self._trusted and gf2_inverse_rows(self.rows, self.width) is None:
             raise NotABijectionError("matrix is singular over GF(2)")
 
     @classmethod
     def identity(cls, width: int) -> "Affine":
         return cls(width, tuple(1 << i for i in range(width)), 0)
 
+    @cached_property  # built on first use; not a field, so ==, hash and repr ignore it
+    def _spans(self) -> tuple[tuple[int, ...], ...]:
+        spans = [[0] for _ in range(0, self.width, 8)]  # doubled column by column
+        for i in range(self.width):
+            column, span = gf2_apply_rows(self.rows, 1 << i), spans[i // 8]
+            span += [entry ^ column for entry in span]
+        return tuple(map(tuple, spans))
+
     def apply_int(self, x: int) -> int:
-        return gf2_apply_rows(self.rows, x) ^ self.offset
+        y = self.offset
+        for span in self._spans:
+            y ^= span[x & 0xFF]
+            x >>= 8
+        return y
 
     def invert(self) -> "Affine":
         inv = gf2_inverse_rows(self.rows, self.width)
         assert inv is not None  # construction guarantees invertibility
-        return Affine(self.width, inv, gf2_apply_rows(inv, self.offset))
+        return Affine(self.width, inv, gf2_apply_rows(inv, self.offset), _trusted=True)
 
     def to_table_array(self) -> np.ndarray:
         return _affine_table(self)
@@ -329,6 +346,7 @@ def _affine_table(m: InvertibleMap) -> np.ndarray:
 def _affine_points(m: InvertibleMap, x: np.ndarray) -> np.ndarray:
     """A map affine over GF(2) applied to an array of points, its columns
     looked up eight coordinates at a time, so the cost follows len(x)."""
+    import numpy as np
     base, columns = _affine_columns(m)
     out = np.full(x.shape, base, dtype=np.int64)
     for lo in range(0, m.width, 8):
@@ -339,6 +357,7 @@ def _affine_points(m: InvertibleMap, x: np.ndarray) -> np.ndarray:
 def _xor_span(base: int, columns: Sequence[int]) -> np.ndarray:
     """Entry x is base XORed with the columns of the bits set in x, doubled
     in place with no temporaries: entry x | 2^i is entry x ^ columns[i]."""
+    import numpy as np
     table = np.empty(1 << len(columns), dtype=np.int64)
     table[0] = base
     for i, column in enumerate(columns):
@@ -378,7 +397,7 @@ def random_affine_invertible(width: int, seed: int) -> Affine:
     while True:
         rows = tuple(rnd.getrandbits(width) for _ in range(width))
         if gf2_inverse_rows(rows, width) is not None:
-            return Affine(width, rows, rnd.getrandbits(width))
+            return Affine(width, rows, rnd.getrandbits(width), _trusted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ in.  Files go through in chunks, so memory stays bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .bitcore import InvertibleMap
 from .dls_engine import Schedule, _family_width
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_STREAM_WIDTH = 16
 
@@ -54,12 +55,14 @@ class BitStream:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitStream":
+        import numpy as np
         arr = np.array(list(bits), dtype=np.uint8)
         if arr.ndim != 1 or arr.size and arr.max() > 1:
             raise ValueError("stream entries must be 0 or 1")
         return cls(np.packbits(arr, bitorder="little").tobytes(), arr.size)
 
     def tolist(self) -> list[int]:
+        import numpy as np
         raw = np.frombuffer(self.data, dtype=np.uint8)
         return np.unpackbits(raw, count=self.nbits, bitorder="little").tolist()
 
@@ -83,6 +86,7 @@ class StreamTransform:
     """
 
     def __init__(self, maps: Sequence[InvertibleMap], schedule: Schedule) -> None:
+        import numpy as np
         self.width = _family_width(maps)
         if self.width > MAX_STREAM_WIDTH:
             raise ValueError(
@@ -99,8 +103,10 @@ class StreamTransform:
         self._period = self._starts.size
         self._byte, self._shift = np.divmod(np.arange(8, dtype=np.uint32) * self.width, 8)
 
-    def _kernel(self, data: np.ndarray, first: int) -> np.ndarray:
-        """Map the packed blocks in ``data``, the first being block ``first``."""
+    def _kernel(self, chunk: bytes, first: int) -> np.ndarray:
+        """Map the packed blocks in ``chunk``, the first being block ``first``."""
+        import numpy as np
+        data = np.frombuffer(chunk, np.uint8)
         n, groups = self.width, -(-data.size // self.width)
         at = first % self._period
         if at + 8 * groups > self._starts.size:  # tile the period over the blocks
@@ -125,14 +131,13 @@ class StreamTransform:
     def transform(self, stream: BitStream) -> BitStream:
         if len(stream) % self.width:
             raise ValueError(f"stream length {len(stream)} not a multiple of {self.width}")
-        out = self._kernel(np.frombuffer(stream.data, np.uint8), 0)
+        out = self._kernel(stream.data, 0)
         return BitStream(out.tobytes(), len(stream))
 
     def transform_chunks(self, chunks: Iterable[bytes]) -> Iterator[np.ndarray]:
         nbits = 0
         for chunk in chunks:
-            data = np.frombuffer(chunk, np.uint8)
-            first, nbits = nbits // self.width, nbits + 8 * data.size
+            first, nbits = nbits // self.width, nbits + 8 * len(chunk)
             if nbits % self.width:  # checked before the word path views a ragged chunk
                 raise ValueError(f"stream of {nbits} bits is not divisible by width {self.width}")
-            yield self._kernel(data, first)
+            yield self._kernel(chunk, first)

@@ -18,15 +18,17 @@ space for any other), or sampled (chi-square against uniform).
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .bitcore import Affine, BitVec, BoolFn, InvertibleMap, XorFamily, _affine_columns
 from .bitcore import _check_width, random_affine_invertible
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def __getattr__(name: str):
@@ -182,7 +184,7 @@ def _fmt_state(state: Any) -> str:
     """Compact single-token rendering so report lines stay splittable."""
     if isinstance(state, tuple):
         return "(" + ",".join(_fmt_state(part) for part in state) + ")"
-    if isinstance(state, (int, np.integer)):
+    if isinstance(state, numbers.Integral):
         return str(int(state))
     return repr(state)
 
@@ -235,6 +237,7 @@ def secrecy_distribution(m: InvertibleMap) -> tuple[np.ndarray, np.ndarray]:
     lands the observable part on v.  Counts are exact integers.  The map's
     table is built once and masked in place.
     """
+    import numpy as np
     half = 1 << (m.width - 1)
     obs = m.to_table_array()
     obs &= half - 1
@@ -274,7 +277,7 @@ def _coset_tv(coset: tuple[int, list[int]], ref: tuple[int, list[int]]) -> Fract
 
 
 def _histogram_tv(hist: np.ndarray, ref: np.ndarray) -> Fraction:
-    return Fraction(int(np.abs(hist - ref).sum()), 2 * len(hist))
+    return Fraction(int(abs(hist - ref).sum()), 2 * len(hist))
 
 
 @dataclass(frozen=True)
@@ -337,6 +340,7 @@ def sampled_observable_histogram(
     sorting otherwise, so an affine map's time follows the sample count and
     its memory min(samples, 2^(width-1)).
     """
+    import numpy as np
     if b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b}")
     if samples < 1:
@@ -368,7 +372,7 @@ def chisquare_uniform(counts: np.ndarray, cells: int) -> tuple[float, float]:
     from scipy import special  # load on use, and leave out scipy.stats
 
     e = counts.sum() / cells
-    stat = float(np.sum((counts - e) ** 2 / e) + (cells - len(counts)) * ((0 - e) ** 2 / e))
+    stat = float(((counts - e) ** 2 / e).sum() + (cells - len(counts)) * ((0 - e) ** 2 / e))
     return stat, float(special.chdtrc(cells - 1, stat))
 
 
@@ -399,6 +403,7 @@ def sampled_secrecy_report(
     bit value, so every cell expects samples / 2^(n-1) hits; a p-value at
     or below ``ALPHA`` for any pair fails the whole family.
     """
+    import numpy as np
     cells = 1 << (_family_width(family.values()) - 1)
     children = iter(np.random.SeedSequence(seed).spawn(2 * len(family)))
     rows = []

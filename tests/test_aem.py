@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynls.aem import (
+    BIT_IN,
+    GO,
     AemLinkError,
     AemProgram,
     AemSyntaxError,
@@ -24,6 +26,7 @@ from dynls.aem import (
     Machine,
     MetaCmd,
     MetaKind,
+    _step_parts,
     compile_step,
     parse,
     print_program,
@@ -275,6 +278,17 @@ def test_dangling_endpoints_rejected():
         m.apply([FireCmd("ghost", 0)])
     with pytest.raises(AemLinkError):
         m.apply([MetaCmd(MetaKind.CONNECTIONS, "ghost", ())])
+
+
+def test_deleting_an_absent_edge_is_skipped():
+    # amplitude 0 on an edge the machine lacks changes nothing, so its
+    # endpoints are not looked up; a live edge is still checked and deleted
+    m = Machine()
+    m.apply([Element("a", 1, 0, ElementKind.RANDOM), Element("b", 1, 0, ElementKind.PLAIN)])
+    m.apply([Connection("a", "ghost", 0, 1), Connection("a", "b", 1, 2)])
+    assert m.connections == {("a", "b"): Connection("a", "b", 1, 2)}
+    m.apply([Connection("a", "b", 0, 2)])
+    assert m.connections == {} and m._out == {}
 
 
 def test_apply_rejects_a_non_command():
@@ -716,6 +730,33 @@ def test_affine_step_matches_direct_apply():
             want = fam.apply(BitVec(r.width + 1, r.value | b << r.width))
             assert readout_physical(m.trace, 3 * epoch, 6) == want
             epoch += 1
+
+
+@given(st.integers(2, 17), st.data())
+@settings(max_examples=80, deadline=None)
+def test_affine_payload_matches_the_per_coordinate_rule(width, data):
+    # the output-driven payload, joined from per-byte fragments, equals the
+    # one built coordinate by coordinate: strobe edge on or off, input cut
+    k = width - 1
+    m = random_affine_invertible(width, data.draw(st.integers(0, 2**32 - 1)))
+    r = BitVec(k, data.draw(st.integers(0, (1 << k) - 1)))
+    bit = data.draw(st.integers(0, 1))
+    base = 3 * data.draw(st.integers(0, 50))
+    parts = _step_parts(width)
+    x = r.value | bit << k
+    value = m.apply_int(x)
+    payload = []
+    for i, w in enumerate(parts.wires):
+        payload += [w.on if value >> i & 1 else w.off, w.cut]
+    fires = [FireCmd(name, base) for i, name in enumerate(parts.inputs) if x >> i & 1]
+    assert compile_step(m, r, bit, base).commands == (
+        *parts.elements,
+        FireCmd(GO, base),
+        *fires,
+        MetaCmd(MetaKind.CONNECTIONS, GO, tuple(payload)),
+        MetaCmd(MetaKind.CONNECTIONS, BIT_IN, ()),
+        parts.rearm,
+    )
 
 
 def test_compile_step_validates_input():

@@ -94,6 +94,25 @@ def test_affine_matches_its_table(seed, width):
     assert is_bijection(table.tolist())
 
 
+@given(st.data(), st.sampled_from([2, 7, 8, 9, 15, 16, 17, 24]))
+@settings(max_examples=80, deadline=None)
+def test_affine_byte_tables_match_the_row_oracle(data, width):
+    # widths below, at and past each multiple of 8: a partial last table
+    rows = random_affine_invertible(width, data.draw(st.integers(0, 2**32 - 1))).rows
+    offset = data.draw(st.integers(0, (1 << width) - 1))
+    m = Affine(width, rows, offset)
+    inv = m.invert()
+    points = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=32))
+    for x in [0, (1 << width) - 1, *points]:
+        assert m.apply_int(x) == gf2_apply_rows(rows, x) ^ offset
+        assert inv.apply_int(m.apply_int(x)) == x
+    # the tables are derived state: equality, hashing and repr ignore them
+    twin = Affine(width, rows, offset)
+    object.__setattr__(twin, "_spans", ())
+    assert twin == m and hash(twin) == hash(m)
+    assert repr(twin) == repr(m) == f"Affine(width={width}, rows={rows!r}, offset={offset})"
+
+
 @given(st.data(), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_xorfam_matches_its_table(data, width):

@@ -616,6 +616,31 @@ def test_sampled_report_leaves_out_scipy_stats():
     assert out.stdout.split() == ["True", "False"]
 
 
+def test_numpy_loads_only_with_the_stream(counter_tm, tmp_path):
+    # run-utm and the exact coset certificate run on ints; the stream's kernel
+    # is the first of these paths to load numpy
+    (tmp_path / "data.bin").write_bytes(bytes(range(256)) * 6)
+    code = (
+        "import sys, dynls.cli\n"
+        "main, loaded = dynls.cli.main, []\n"
+        f"codes = [main(['run-utm', '--tm', {counter_tm!r}, '--steps', '50',\n"
+        "               '--dls', 'affine:7', '--rng', 'seeded:7', '--out', 'utm']),\n"
+        "         main(['verify-secrecy', '--dls', 'affine:3', '--width', '12', '--out', 'sec'])]\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "codes.append(main(['stream', 'transform', '--in', 'data.bin', '--maps', 'xorfam:5',\n"
+        "                   '--width', '16', '--count', '6', '--sched', 'periodic:6',\n"
+        "                   '--out', 'fwd']))\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(codes, loaded)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120, check=True)
+    # a random affine family leaks its bit, so the certificate's verdict is 1
+    assert out.stdout.splitlines()[-1] == "[0, 1, 0] [False, True]"
+    assert "steps=50/50" in (tmp_path / "utm" / "report.txt").read_text()
+    assert "pass=false" in (tmp_path / "sec" / "report.txt").read_text()
+
+
 def test_out_of_memory_is_a_usage_error(tmp_path, monkeypatch, capsys):
     # an allocation failure is not a verdict: exit 2, one line, no traceback
     def allocate(*args, **kwargs):
