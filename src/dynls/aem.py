@@ -132,7 +132,7 @@ class AemProgram:
     commands: tuple[Command, ...]
 
 
-FiringTrace = list[frozenset]  # entry t: the elements that fired at tick t
+FiringTrace = list[tuple]  # entry t: the names that fired at tick t, sorted
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,9 @@ class Machine:
     uses, the elements that fired at t-d (read from `trace`) send pulses
     along their out-edges of delay d.  A tick's cost therefore follows the
     number of delays in use and the fan-out of the firings, not the number
-    of connections or the size of the largest delay.  `trace[t]` is the
-    set that fired at tick t, and `clock`, the next tick, is its length.
+    of connections or the size of the largest delay.  `trace[t]` holds the
+    names that fired at tick t, sorted, and `clock`, the next tick, is its
+    length.
     """
 
     def __init__(self):
@@ -328,8 +329,8 @@ class Machine:
             else:
                 del connections[key]
 
-    def step(self) -> frozenset:
-        """Advance one tick; returns the set of names that fired."""
+    def step(self) -> tuple:
+        """Advance one tick; returns the names that fired, sorted."""
         trace = self.trace
         t = len(trace)
         if self._pending:
@@ -357,7 +358,7 @@ class Machine:
 
         for name in fired:
             last_fire[name] = t
-        result = frozenset(fired)
+        result = tuple(sorted(fired))
         trace.append(result)
 
         if fired:
@@ -376,7 +377,7 @@ def trace_to_jsonl(trace: FiringTrace) -> str:
     """One ``{"tick":t,"fired":[names]}`` line per tick, in tick and name
     order; element names match ``_NAME_RE``, so none needs JSON escaping."""
     return "".join(
-        '{"tick":%d,"fired":[%s]}\n' % (t, '"%s"' % '","'.join(sorted(fired)) if fired else "")
+        '{"tick":%d,"fired":[%s]}\n' % (t, '"%s"' % '","'.join(fired) if fired else "")
         for t, fired in enumerate(trace)
     )
 
@@ -576,10 +577,11 @@ def run_utm_realization(program: TmProgram, dls, steps: int):
     symbol) pairs from ``tm.instruction_trace``, and step j realizes pair
     j, up to ``steps`` of them, in the epoch at base tick 3j.  Its logical
     bit is f(pair), f the high write-symbol component on the packed pair,
-    and the engine draws the random part.  Each step's readout is handed,
-    as it is read, to ``dls_engine.verify_invariance``, which decodes it
-    onto f's level set and back to the random part.  A machine that halted
-    early gives a shorter run; the report records both step counts.
+    and its random part is the next width-1 bits of ``dls.source``.  Each
+    step's readout is handed, as it is read, to
+    ``dls_engine.verify_invariance``, which decodes it onto f's level set
+    and back to the random part.  A machine that halted early gives a
+    shorter run; the report records both step counts.
 
     Returns (trace, report).
     """
@@ -590,21 +592,23 @@ def run_utm_realization(program: TmProgram, dls, steps: int):
     if not pairs:  # the machine halted before its first step
         return [], UtmRunReport(steps, 0, (), ())
     point_of = {pair: BitVec(5, instruction_index(*pair)) for pair in set(pairs)}
+    bit_of = {pair: f(point) for pair, point in point_of.items()}
     points = [point_of[pair] for pair in pairs]
 
     machine = Machine()
-    mask = (1 << (dls.width - 1)) - 1
+    k = dls.width - 1
+    next_bits, mask = dls.source.next_bits, (1 << k) - 1
     observables = []
 
     def readouts():
         for j, pair in enumerate(pairs):
-            real = dls.realize(j, f(points[j]))
+            r, bit = next_bits(k), bit_of[pair]
             base = EPOCH_TICKS * j
-            machine.apply(compile_step(dls.map_for(pair), real.random_part, real.logical_bit, base))
+            machine.apply(compile_step(dls.map_for(pair), r, bit, base))
             machine.run_until(base + EPOCH_TICKS - 1)
             got = readout_physical(machine.trace, base, dls.width)
             observables.append(got.value & mask)
-            yield Realization(j, pair, real.random_part, real.logical_bit, got)
+            yield Realization(j, pair, r, bit, got)
 
     audit = verify_invariance(dls, f, points, realizations=readouts())
     return machine.trace, UtmRunReport(steps, audit.steps, audit.violations, tuple(observables))

@@ -35,7 +35,7 @@ def __getattr__(name: str):
     # `dls_engine.stats` stays a module attribute for code that wraps
     # `stats.chisquare` from outside (the benchmark's tracer installs its
     # hook there), while importing the package leaves scipy out; the
-    # sampled report itself calls only `scipy.special`
+    # sampled report itself computes its p-values with `gamma_q`
     if name == "stats":
         from scipy import stats
 
@@ -364,16 +364,119 @@ def sampled_observable_histogram(
     return cells, hist[cells]
 
 
+# Taylor coefficients in eta of Temme's C_0(eta) .. C_4(eta), twelve a row
+# (DLMF 8.12.9-8.12.12); the tests rebuild them from exact power series
+_TEMME = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+     0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+     3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+     8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+     -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08),
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+     8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11),
+)
+
+
+def gamma_q(a: float, x: float) -> float:
+    """The regularized upper incomplete gamma function Q(a, x) = Γ(a, x)/Γ(a)
+    for a > 0 and x >= 0.  A chi-square statistic's tail probability with
+    df degrees of freedom is Q(df/2, stat/2).
+
+    The regions follow Cephes' `igamc`.  For a > 200 and |x - a| < 0.3a it
+    sums Temme's uniform expansion (SIAM J. Math. Anal. 1979)
+
+        Q = erfc(eta sqrt(a/2)) / 2 + e^(-a eta^2/2) / sqrt(2 pi a) * sum C_k(eta) a^-k,
+        eta = sign(s) sqrt(-2 (log1p(s) - s)),  s = (x - a) / a,
+
+    at a fixed cost.  Cephes keeps to |x - a| < 4.5 sqrt(a) there and
+    hands the rest to series it stops at 2000 terms, short of the ~37
+    sqrt(a)/|z| terms that x = a + z sqrt(a) needs at large a.  Elsewhere
+    (DiDonato & Morris, ACM TOMS 1986) the power series of P = 1 - Q runs
+    below x = a + 1, and Lentz's continued fraction for Q above it; each
+    takes at most a few hundred terms.  Against mpmath at 60 digits, for
+    df from 1 to 2^23 - 1 and stat up to 40 standard deviations above the
+    mean, its relative error stayed below 1e-13.
+    """
+    import math
+
+    if not (a > 0 and x >= 0):
+        raise ValueError(f"gamma_q needs a > 0 and x >= 0, got a={a}, x={x}")
+    if x == 0 or x == math.inf:
+        return float(x == 0)
+    sigma = (x - a) / a  # x - a is exact for a/2 <= x <= 2a
+    if a > 200 and abs(sigma) < 0.3:
+        # -eta^2/2 = log1p(s) - s by its series, where no digits cancel
+        power, n = -sigma * sigma, 2
+        log1pmx = power / 2
+        while abs(power) > 2**-53 * n * -log1pmx:
+            n += 1
+            power *= -sigma
+            log1pmx += power / n
+        eta = math.copysign(math.sqrt(-2 * log1pmx), sigma)
+        total = 0.0
+        for row in reversed(_TEMME):
+            c_k = 0.0
+            for d in reversed(row):
+                c_k = c_k * eta + d
+            total = total / a + c_k
+        tail = math.exp(a * log1pmx) * total / math.sqrt(2 * math.pi * a)
+        return 0.5 * math.erfc(eta * math.sqrt(a / 2)) + tail
+    if x < a + 1:
+        # P by its power series; 1 - P needs P to absolute precision only
+        term = total = 1 / a
+        n = a
+        while term > total * 2**-53:
+            n += 1
+            term *= x / n
+            total += term
+        return 1 - total * math.exp(a * math.log(x) - x - math.lgamma(a))
+    # Q by Lentz's continued fraction, times x^a e^-x / Γ(a) in log space:
+    # at large a as e^(a (log1p(s) - s)) sqrt(a / 2 pi) / Γ*(a), with
+    # Stirling's series for log Γ*(a), so no digits cancel
+    if a < 20:
+        log_prefactor = a * math.log(x) - x - math.lgamma(a)
+    else:
+        inv2 = 1 / (a * a)
+        log_gamma_star = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / a
+        log_prefactor = (
+            a * (math.log1p(sigma) - sigma) + 0.5 * math.log(a / (2 * math.pi)) - log_gamma_star
+        )
+    # x >= a + 1 keeps every denominator above 3, so Lentz's guard against
+    # a zero one is left out
+    b = x + 1 - a
+    c, d = math.inf, 1 / b
+    h, i, delta = d, 0, 0.0
+    while abs(delta - 1) > 2**-52:
+        i += 1
+        an, b = -i * (i - a), b + 2
+        c, d = b + an / c, 1 / (b + an * d)
+        delta = c * d
+        h *= delta
+    return h * math.exp(log_prefactor)
+
+
 def chisquare_uniform(counts: np.ndarray, cells: int) -> tuple[float, float]:
     """Pearson's chi-square of a histogram against the uniform spread over
     ``cells`` cells, given only its occupied counts: each empty cell adds
     (0 - e)^2 / e.  Returns (statistic, p-value), the values
-    ``scipy.stats.chisquare`` gives for the dense histogram."""
-    from scipy import special  # load on use, and leave out scipy.stats
-
+    ``scipy.stats.chisquare`` gives for the dense histogram; the p-value
+    is the chi-square tail with cells - 1 degrees of freedom."""
     e = counts.sum() / cells
     stat = float(((counts - e) ** 2 / e).sum() + (cells - len(counts)) * ((0 - e) ** 2 / e))
-    return stat, float(special.chdtrc(cells - 1, stat))
+    return stat, gamma_q((cells - 1) / 2, stat / 2)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def machine_of(text):
 def test_single_element_never_fires():
     m = machine_of("E a 1 0 computing\n")
     m.run_until(9)
-    assert all(m.trace[t] == frozenset() for t in range(10))
+    assert all(m.trace[t] == () for t in range(10))
 
 
 def test_forced_fire_then_chain():
@@ -73,9 +73,9 @@ def test_forced_fire_then_chain():
         "F a 0\n"
     )
     m.run_until(3)
-    assert m.trace[0] == frozenset({"a"})
-    assert m.trace[1] == frozenset({"b"})
-    assert m.trace[2] == frozenset()
+    assert m.trace[0] == ("a",)
+    assert m.trace[1] == ("b",)
+    assert m.trace[2] == ()
 
 
 def test_random_elements_only_fire_when_forced():
@@ -172,7 +172,7 @@ def test_meta_takes_effect_next_tick():
     # run 2: r0 never fires, the edge survives, but there is no pulse either
     m2 = machine_of(base)
     m2.run_until(2)
-    assert all(m2.trace[t] == frozenset() for t in range(3))
+    assert all(m2.trace[t] == () for t in range(3))
 
 
 def test_meta_element_payload_retunes():
@@ -206,7 +206,7 @@ def test_meta_never_rewrites_history():
     plain.run_until(6)
     tuned.run_until(6)
     for t in range(4):
-        assert plain.trace[t] - {"m"} == tuned.trace[t] - {"m"}
+        assert set(plain.trace[t]) - {"m"} == set(tuned.trace[t]) - {"m"}
 
 
 def test_meta_replacement_keeps_latest_payload():
@@ -245,9 +245,9 @@ def test_zero_amplitude_connection_deletes():
 def test_trace_records_empty_ticks():
     m = machine_of("E a 1 0 random\nF a 3\n")
     m.run_until(3)
-    assert m.trace[0] == frozenset()
-    assert m.trace[2] == frozenset()
-    assert m.trace[3] == frozenset({"a"})
+    assert m.trace[0] == ()
+    assert m.trace[2] == ()
+    assert m.trace[3] == ("a",)
 
 
 def test_trace_jsonl_is_sorted_and_stable():
@@ -301,7 +301,7 @@ def test_meta_payload_endpoint_checked_when_it_lands():
     # installing the meta checks only its trigger; the payload's edge is
     # checked at the tick it lands, one after `a` fires
     m = machine_of("E a 1 0 random\nMC a {\n  C a ghost 1 1\n}\nF a 0\n")
-    assert m.step() == frozenset({"a"})
+    assert m.step() == ("a",)
     with pytest.raises(AemLinkError, match="ghost"):
         m.step()
 
@@ -410,7 +410,7 @@ class FullScanMachine:
         for name in fired:
             self.fired_at.setdefault(name, set()).add(t)
             self.last_fire[name] = t
-        self.trace[t] = frozenset(fired)
+        self.trace[t] = tuple(sorted(fired))
         for (_, trigger), meta in self.metas.items():
             if trigger in fired:
                 self.pending.setdefault(t + 1, []).extend(meta.payload)
@@ -640,7 +640,7 @@ def test_corpus_actually_runs():
     m = Machine()
     m.apply(parse((DATA / "corpus50.aem").read_text()))
     m.run_until(12)
-    assert m.trace[0] == frozenset({"go", "r0", "r2", "bit_in"})
+    assert m.trace[0] == ("bit_in", "go", "r0", "r2")
 
 
 # ---------------------------------------------------------------------------

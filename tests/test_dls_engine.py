@@ -16,6 +16,7 @@ counts (2,0,2,0) and for b=1 counts (0,2,0,2); the distance between them is
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -38,9 +39,11 @@ from dynls.dls_engine import (
     DlsDecomposition,
     Realization,
     Schedule,
+    _TEMME,
     chisquare_uniform,
     derived_affine_family,
     derived_xor_family,
+    gamma_q,
     realize_step,
     sampled_observable_histogram,
     sampled_secrecy_report,
@@ -536,6 +539,91 @@ def test_chisquare_matches_scipy_on_the_dense_histogram(width):
             assert math.isclose(stat, ref.statistic, rel_tol=1e-13)
 
 
+def _temme_coefficients(rows, cols):
+    """Exact Taylor coefficients in eta of Temme's C_0 .. C_{rows-1}.
+
+    mu = lambda - 1 solves eta^2/2 = mu - log(1 + mu), so mu mu' = eta (1 + mu)
+    with mu = eta + ...; C_0 = 1/mu - 1/eta and C_k = C_{k-1}'/eta +
+    (-1)^k g_k / mu, where g_k = (2k - 1)!! [eta^(2k-1)] C_0 are Stirling's
+    coefficients of Γ*(a) = Σ g_k a^-k (Watson's lemma on eta / mu = 1 + eta C_0).
+    Each step loses two coefficients, so the series starts long enough.
+    """
+    n = cols + 2 * rows
+    mu = [Fraction(0), Fraction(1)]
+    for m in range(2, n + 2):
+        cross = sum((m + 1 - i) * mu[i] * mu[m + 1 - i] for i in range(2, m))
+        mu.append((mu[m - 1] - cross) / (m + 1))
+    eta_over_mu = [Fraction(1)]  # the reciprocal of mu / eta = mu[1:]
+    for m in range(1, n + 1):
+        eta_over_mu.append(-sum(mu[i + 1] * eta_over_mu[m - i] for i in range(1, m + 1)))
+    c = [eta_over_mu[1:]]  # C_0 = (eta / mu - 1) / eta
+    stirling = [Fraction(1)]
+    for k in range(1, rows):
+        g = math.prod(range(1, 2 * k, 2)) * c[0][2 * k - 1]
+        stirling.append(g)
+        prev, s = c[-1], (-1) ** k * g
+        assert prev[1] + s == 0  # the two poles at eta = 0 cancel
+        c.append([(j + 2) * prev[j + 2] + s * eta_over_mu[j + 1] for j in range(len(prev) - 2)])
+    return [row[:cols] for row in c], stirling
+
+
+def test_temme_table_is_the_exact_series_rounded():
+    rows, stirling = _temme_coefficients(len(_TEMME), len(_TEMME[0]))
+    assert stirling == [1, Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840),
+                        Fraction(-571, 2488320)]
+    assert [row[0] for row in rows[:3]] == [Fraction(-1, 3), Fraction(-1, 540), Fraction(25, 6048)]
+    assert _TEMME == tuple(tuple(float(c) for c in row) for row in rows)
+
+
+def _scipy_truncates(df, z):
+    """Whether `chdtrc` cuts short the series it sums at this point: it leaves
+    Temme's expansion at |z| >= 4.5 when a = df/2 > 200, and stops P's power
+    series, which needs about 37 sqrt(a) / |z| terms below the mean, at 2000."""
+    a = df / 2
+    return a > 200 and z <= -4.5 and 37 * math.sqrt(a) / -z > 2000
+
+
+def test_gamma_q_matches_scipy_chi_square_tail():
+    from scipy.special import chdtrc
+
+    compared = 0
+    dfs = (1, 2, 3, 4, 5, 7, 10, 15, 20, 39, 40, 41, 63, 100, 127, 255, 399, 400, 401,
+           511, 1023, 2047, 4095, 10001, 65535, 2**20 - 1, 2**23 - 1)
+    for df in dfs:
+        stats = [df + z / 8 * math.sqrt(2 * df) for z in range(-64, 321)
+                 if not _scipy_truncates(df, z / 8)]
+        for stat in [0.0, 50.0 * df + 5000, *(s for s in stats if s >= 0)]:
+            want, got = float(chdtrc(df, stat)), gamma_q(df / 2, stat / 2)
+            if want < sys.float_info.min:  # subnormal or zero: digits run out
+                assert got < sys.float_info.min, (df, stat)
+                continue
+            assert f"{got:.6g}" == f"{want:.6g}", (df, stat)
+            assert math.isclose(got, want, rel_tol=1e-10), (df, stat)
+            compared += 1
+    assert compared > 9000
+
+
+# chi-square tails, from mpmath at 60 digits, where `chdtrc` truncates
+GAMMA_Q_REFERENCE = (
+    # (df, stat, Q(df/2, stat/2)); scipy 1.17 gives 0.9999971232317428 for the first
+    (2**23 - 1, 8370048.990848634, 0.99999710542013654),
+    (2**23 - 1, 8368000.0, 0.99999976103680488),
+    (2**23 - 1, 8367000.0, 0.99999993523862332),
+)
+
+
+@pytest.mark.parametrize("df,stat,want", GAMMA_Q_REFERENCE)
+def test_gamma_q_matches_reference_values(df, stat, want):
+    assert _scipy_truncates(df, (stat - df) / math.sqrt(2 * df))
+    assert math.isclose(gamma_q(df / 2, stat / 2), want, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("a,x", [(0, 1.0), (1.0, -0.5), (math.nan, 1.0)])
+def test_gamma_q_rejects_its_domain_edges(a, x):
+    with pytest.raises(ValueError, match="gamma_q needs a > 0 and x >= 0"):
+        gamma_q(a, x)
+
+
 def test_sampled_report_passes_for_uniform_maps():
     fam = derived_xor_family(8, list(range(4)), seed=5)
     report = sampled_secrecy_report(fam, samples=20000, seed=11)
@@ -582,8 +670,6 @@ def test_sampled_histogram_needs_a_bit():
 
 @pytest.mark.parametrize("derive", [derived_xor_family, derived_affine_family])
 def test_wide_sampled_report_memory_follows_samples(derive):
-    from scipy import special  # noqa: F401  (loaded once, not per report)
-
     family = derive(24, [0], seed=3)
     tracemalloc.start()
     try:
