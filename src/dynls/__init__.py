@@ -26,7 +26,6 @@ from dynls.bitcore import (
 from dynls.dls_engine import (
     DlsDecomposition,
     Realization,
-    Schedule,
     derived_affine_family,
     derived_xor_family,
     realize_step,
@@ -76,7 +75,6 @@ __all__ = [
     "PermTable",
     "QrngSource",
     "Realization",
-    "Schedule",
     "SeededSource",
     "SourceFailure",
     "StreamTransform",

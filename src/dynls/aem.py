@@ -570,14 +570,14 @@ class UtmRunReport:
         return "".join(f"{line}\n" for line in lines)
 
 
-def run_utm_realization(program: TmProgram, dls, steps: int):
+def run_utm_realization(program: TmProgram, dls, pairs, steps: int):
     """Realize a tape machine's run on one firing machine.
 
-    The schedule is the run: ``dls.scheduler.values`` holds the (state,
-    symbol) pairs from ``tm.instruction_trace``, and step j realizes pair
-    j, up to ``steps`` of them, in the epoch at base tick 3j.  Its logical
-    bit is f(pair), f the high write-symbol component on the packed pair,
-    and its random part is the next width-1 bits of ``dls.source``.  Each
+    ``pairs`` is the run, the (state, symbol) pairs from
+    ``tm.instruction_trace``: step j realizes pair j under pair j's map, up
+    to ``steps`` of them, in the epoch at base tick 3j.  Its logical bit is
+    f(pair), f the high write-symbol component on the packed pair, and its
+    random part is the next width-1 bits of ``dls.source``.  Each
     step's readout is handed, as it is read, to
     ``dls_engine.verify_invariance``, which decodes it onto f's level set
     and back to the random part.  A machine that halted early gives a
@@ -588,7 +588,7 @@ def run_utm_realization(program: TmProgram, dls, steps: int):
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     f = transition_components(program)[3]
-    pairs = dls.scheduler.values[:steps]
+    pairs = pairs[:steps]
     if not pairs:  # the machine halted before its first step
         return [], UtmRunReport(steps, 0, (), ())
     point_of = {pair: BitVec(5, instruction_index(*pair)) for pair in set(pairs)}
@@ -608,7 +608,7 @@ def run_utm_realization(program: TmProgram, dls, steps: int):
             machine.run_until(base + EPOCH_TICKS - 1)
             got = readout_physical(machine.trace, base, dls.width)
             observables.append(got.value & mask)
-            yield Realization(j, pair, r, bit, got)
+            yield Realization(pair, r, bit, got)
 
-    audit = verify_invariance(dls, f, points, realizations=readouts())
+    audit = verify_invariance(dls, f, points, readouts())
     return machine.trace, UtmRunReport(steps, audit.steps, audit.violations, tuple(observables))

@@ -1,10 +1,10 @@
 """Blockwise transformation of bit streams under a scheduled map family.
 
 A stream of n*k bits splits into k blocks of n; block j (counting from 0)
-passes through the family member whose index a :class:`Schedule` names at
-step j.  Recovery runs the same schedule against the inverse maps, so a
-receiver that knows the family and the schedule gets the original stream
-back bit for bit.
+passes through the family member whose index the schedule, a sequence of
+map indices, holds at j modulo its length.  Recovery runs the same schedule
+against the inverse maps, so a receiver that knows the family and the
+schedule gets the original stream back bit for bit.
 
 The kernel works on packed bytes and looks each block up in a uint16
 table, one per family member, which caps the width at 16.  When
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .bitcore import InvertibleMap
-from .dls_engine import Schedule, _family_width
+from .dls_engine import _family_width
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,14 +78,15 @@ class BitStream:
 class StreamTransform:
     """Applies a scheduled family of invertible maps block by block.
 
-    Block j goes through ``maps[schedule.state_at(j)]``, so every schedule
-    value must index ``maps``.  The transform of the inverse maps under the
-    same schedule, ``StreamTransform([m.invert() for m in maps], schedule)``,
-    recovers the stream.  :meth:`transform_chunks` takes a packed stream as
-    byte chunks, each of whole blocks, and yields uint8 arrays.
+    Block j goes through ``maps[schedule[j % len(schedule)]]``, so every
+    schedule value must be an integer that indexes ``maps``.  The transform
+    of the inverse maps under the same schedule,
+    ``StreamTransform([m.invert() for m in maps], schedule)``, recovers the
+    stream.  :meth:`transform_chunks` takes a packed stream as byte chunks,
+    each of whole blocks, and yields uint8 arrays.
     """
 
-    def __init__(self, maps: Sequence[InvertibleMap], schedule: Schedule) -> None:
+    def __init__(self, maps: Sequence[InvertibleMap], schedule: Sequence[int]) -> None:
         import numpy as np
         self.width = _family_width(maps)
         if self.width > MAX_STREAM_WIDTH:
@@ -94,7 +95,9 @@ class StreamTransform:
             )
         if not len(schedule):
             raise ValueError("schedule is empty")
-        values = np.array(schedule.values)
+        values = np.array(schedule)
+        if values.ndim != 1 or values.dtype.kind not in "iu":
+            raise ValueError("schedule values must be integer map indices")
         if not 0 <= values.min() <= values.max() < len(maps):
             raise ValueError("schedule names an index outside the family")
         self._tables = np.concatenate([m.to_table_array().astype(np.uint16) for m in maps])

@@ -21,7 +21,6 @@ from .bitcore import _fields, read_map
 from .blockstream import CHUNK_GROUPS, StreamTransform
 from .dls_engine import (
     DlsDecomposition,
-    Schedule,
     _family_width,
     derived_affine_family,
     derived_xor_family,
@@ -182,8 +181,8 @@ def cmd_run_utm(args) -> int:
         family = family_for_states(
             args.dls, UTM_WIDTH, sorted(set(pairs)), descriptor.get("seed", 0)
         )
-        dls = DlsDecomposition(family, Schedule(pairs), source)
-        trace, report = run_utm_realization(program, dls, args.steps)
+        dls = DlsDecomposition(family, source)
+        trace, report = run_utm_realization(program, dls, pairs, args.steps)
     else:
         # the machine halts before consuming a single instruction
         trace = []
@@ -257,21 +256,21 @@ def cmd_verify_secrecy(args) -> int:
 
 
 def build_schedule(spec: str, count: int):
-    """A --sched spec to the Schedule of `count` maps.  The spec goes into the
-    sidecar's one line, so it may hold no line break."""
+    """A --sched spec to its tuple of map indices, each below `count`.  The
+    spec goes into the sidecar's one line, so it may hold no line break."""
     kind, arg = split_spec(spec, SCHEDULE_FORMS)
     if spec.splitlines() != [spec]:
         raise ValueError(f"schedule {spec!r} must be one line")
     if kind == "periodic":
         if not 1 <= arg <= count:
             raise ValueError(f"period must be in 1..{count}, got {arg}")
-        return Schedule(range(arg))
+        return tuple(range(arg))
     program, config = read_machine(arg)
     pairs = instruction_trace(program, config, TRACE_SCHEDULE_HORIZON)
     if not pairs:
         raise ValueError("schedule machine halts before its first step")
     index = {pair: instruction_index(*pair) % count for pair in set(pairs)}
-    return Schedule(map(index.__getitem__, pairs))
+    return tuple(map(index.__getitem__, pairs))
 
 
 def _read_stream_meta(path: Path):

@@ -2,14 +2,14 @@
 
 The logical object is a function f on {0,1}^w together with its level set
 f^-1{1}, and that object never changes.  What changes from step to step is
-the physical encoding: at step j a :class:`Schedule` names a state (value j
-mod its period), the state picks an invertible map from a family on
-{0,1}^n, and the value bit f(point) is embedded as coordinate n-1 of the
-map's input alongside n-1 fresh random bits.  The first n-1 coordinates of
-the output are the observable part.
+the physical encoding: the caller names each step's state (``run-utm``
+takes it from the machine being run), the state picks an invertible map
+from a family on {0,1}^n, and the value bit f(point) is embedded as
+coordinate n-1 of the map's input alongside n-1 fresh random bits.  The
+first n-1 coordinates of the output are the observable part.
 
 Two verification routes live here.  Invariance checks that decoding each
-physical state with its step's map always lands the bit back on the correct
+physical state with its state's map always lands the bit back on the correct
 side of the level set.  Secrecy checks that the observable part carries no
 information about the bit: exactly, by total variation in rational arithmetic
 (GF(2) cosets for affine families, integer histograms over the full random
@@ -43,33 +43,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class Schedule:
-    """The state each step selects: step j takes ``values[j % len(values)]``.
-
-    The values are one period of the schedule, stored as a tuple; ``len``
-    is the period.  An empty schedule (from a machine that halted before
-    its first step) has length 0 and no queryable states.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable[Any]) -> None:
-        self.values = tuple(values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def state_at(self, j: int) -> Any:
-        if not self.values:
-            raise ValueError("schedule is empty")
-        return self.values[j % len(self.values)]
-
-
 @dataclass(frozen=True)
 class Realization:
-    """One step's physical encoding of a logical bit."""
+    """One step's physical encoding of a logical bit under a state's map."""
 
-    step: int
     state: Any
     random_part: BitVec
     logical_bit: int
@@ -98,11 +75,10 @@ def _family_width(maps: Iterable[InvertibleMap]) -> int:
 
 @dataclass
 class DlsDecomposition:
-    """Width-n physical layer: a map family, a schedule, and a bit source;
-    n is the family's width."""
+    """Width-n physical layer: a map family and a bit source; n is the
+    family's width."""
 
     family: Mapping[Any, InvertibleMap]
-    scheduler: Schedule
     source: Any  # anything with next_bits(k) -> BitVec
     width: int = field(init=False)
     _inverses: dict[Any, InvertibleMap] = field(init=False, repr=False, compare=False)
@@ -117,9 +93,9 @@ class DlsDecomposition:
         except KeyError:
             raise ValueError(f"no physical map for state {state!r}") from None
 
-    def realize(self, j: int, logical_bit: int) -> Realization:
-        """Encode one bit at step j, drawing the random part from the source."""
-        return realize_step(self, j, self.source.next_bits(self.width - 1), logical_bit)
+    def realize(self, state: Any, logical_bit: int) -> Realization:
+        """Encode one bit under a state's map with a random part from the source."""
+        return realize_step(self, state, self.source.next_bits(self.width - 1), logical_bit)
 
     def decode(self, physical: BitVec, state: Any) -> tuple[BitVec, int]:
         """Invert a physical state back to (random part, logical bit)."""
@@ -131,19 +107,18 @@ class DlsDecomposition:
 
 
 def realize_step(
-    dls: DlsDecomposition, j: int, r: BitVec, logical_bit: int
+    dls: DlsDecomposition, state: Any, r: BitVec, logical_bit: int
 ) -> Realization:
-    """One step's encoding with an explicit random part."""
+    """One step's encoding under a state's map with an explicit random part."""
     if logical_bit not in (0, 1):
         raise ValueError(f"logical bit must be 0 or 1, got {logical_bit}")
     if r.width != dls.width - 1:
         raise ValueError(
             f"random part width {r.width} != {dls.width - 1}"
         )
-    state = dls.scheduler.state_at(j)
     m = dls.map_for(state)
     physical = BitVec(m.width, m.apply_int(r.value | logical_bit << r.width))
-    return Realization(j, state, r, logical_bit, physical)
+    return Realization(state, r, logical_bit, physical)
 
 
 # ---------------------------------------------------------------------------
@@ -181,34 +156,30 @@ class InvarianceReport:
 
 
 def _fmt_state(state: Any) -> str:
-    """Compact single-token rendering so report lines stay splittable."""
+    """Compact single-token rendering so report lines stay splittable; a
+    space inside a state's repr is written as ``\\x20``."""
     if isinstance(state, tuple):
         return "(" + ",".join(_fmt_state(part) for part in state) + ")"
     if isinstance(state, numbers.Integral):
         return str(int(state))
-    return repr(state)
+    return repr(state).replace(" ", r"\x20")
 
 
 def verify_invariance(
     dls: DlsDecomposition,
     f: BoolFn,
     points: Sequence[BitVec],
-    steps: int | None = None,
-    realizations: Iterable[Realization] | None = None,
+    realizations: Iterable[Realization],
 ) -> InvarianceReport:
     """Check that every step's physical state decodes back to its random
     part and onto the correct side of f's level set; point j of the run is
-    ``points[j % len(points)]``.  A fresh run of ``steps`` is realized step
-    by step, or pass ``realizations``, any iterable, to audit an existing
-    run (a firing machine's readouts, fault injection, replay).  Each step
-    is audited as it arrives, and the steps audited set the step count.
+    ``points[j % len(points)]``.  ``realizations`` is any iterable: a fresh
+    run (a generator of ``dls.realize(...)``), a firing machine's readouts,
+    fault injection, replay.  Each step is audited as it arrives, and the
+    steps audited set the step count.
     """
     if not points:
         raise ValueError("need at least one logical point")
-    if realizations is None:
-        if steps is None:
-            raise ValueError("steps is required when realizations are generated")
-        realizations = (dls.realize(j, f(points[j % len(points)])) for j in range(steps))
     steps = 0
     violations = []
     for j, real in enumerate(realizations):

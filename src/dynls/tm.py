@@ -97,9 +97,9 @@ def instruction_trace(
 ) -> tuple[tuple[int, int], ...]:
     """The (state, read symbol) pairs consumed over a bounded run.
 
-    ``Schedule(instruction_trace(...))`` drives the engine by the run: step
-    j takes the pair consumed at step j, and a machine that halts before
-    its first step gives an empty schedule.
+    The pairs are the run that selects the maps: step j of
+    ``aem.run_utm_realization`` realizes pair j under pair j's map, and a
+    machine that halts before its first step gives an empty tuple.
     """
     return run(program, config, max_steps).trace
 

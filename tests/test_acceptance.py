@@ -19,7 +19,6 @@ from dynls.blockstream import BitStream, StreamTransform
 from dynls.cli import main
 from dynls.dls_engine import (
     DlsDecomposition,
-    Schedule,
     derived_xor_family,
     realize_step,
     sampled_secrecy_report,
@@ -71,8 +70,8 @@ def test_criterion_2_stream_round_trip():
     program, config = endless_counter()
     pairs = instruction_trace(program, config, 512)
     schedules = {
-        "periodic": Schedule(range(m)),
-        "trace": Schedule((4 * q + a) % m for q, a in pairs),
+        "periodic": tuple(range(m)),
+        "trace": tuple((4 * q + a) % m for q, a in pairs),
     }
 
     rng = np.random.default_rng(21)
@@ -96,10 +95,14 @@ def test_criterion_3_level_set_invariance():
     states = tuple(sorted(reference_write_high_set()))
     dls = DlsDecomposition(
         family=derived_xor_family(15, states, seed=22),
-        scheduler=Schedule(states),
         source=SeededSource(22),
     )
-    report = verify_invariance(dls, indicator, points, steps=10**4)
+    # step j realizes point j mod 32 under state j mod 14
+    run = (
+        dls.realize(states[j % len(states)], indicator(points[j % len(points)]))
+        for j in range(10**4)
+    )
+    report = verify_invariance(dls, indicator, points, run)
     assert report.steps == 10**4
     assert report.violations == ()
     assert report.ok
@@ -147,17 +150,13 @@ def test_criterion_6_aem_dls_equivalence():
             mask1=random.Random(width + 100).getrandbits(width - 1),
             flip=width & 1,
         )
-        dls = DlsDecomposition(
-            family={"s": fam},
-            scheduler=Schedule(("s",)),
-            source=SeededSource(0),
-        )
+        dls = DlsDecomposition(family={"s": fam}, source=SeededSource(0))
         machine = Machine()
         epoch = 0
         for r_value in range(1 << (width - 1)):
             for b in (0, 1):
                 r = BitVec(width - 1, r_value)
-                real = realize_step(dls, epoch, r, b)
+                real = realize_step(dls, "s", r, b)
                 machine.apply(compile_step(fam, r, b, base_tick=3 * epoch))
                 machine.run_until(3 * epoch + 2)
                 got = readout_physical(machine.trace, 3 * epoch, width)
@@ -166,17 +165,13 @@ def test_criterion_6_aem_dls_equivalence():
 
     width = 15
     fam = XorFamily(width, mask0=0x1B57, mask1=0x3E02, flip=1)
-    dls = DlsDecomposition(
-        family={"s": fam},
-        scheduler=Schedule(("s",)),
-        source=SeededSource(0),
-    )
+    dls = DlsDecomposition(family={"s": fam}, source=SeededSource(0))
     rng = random.Random(25)
     machine = Machine()
     for epoch in range(10**4):
         r = BitVec(width - 1, rng.getrandbits(width - 1))
         b = rng.getrandbits(1)
-        real = realize_step(dls, epoch, r, b)
+        real = realize_step(dls, "s", r, b)
         machine.apply(compile_step(fam, r, b, base_tick=3 * epoch))
         machine.run_until(3 * epoch + 2)
         assert readout_physical(machine.trace, 3 * epoch, width) == real.physical
@@ -195,14 +190,12 @@ def test_criterion_7_self_modification_regression():
     """
     t0 = time.monotonic()
     program, config = endless_counter()
-    sched = Schedule(instruction_trace(program, config, 1000))
-    states = sorted({sched.state_at(j) for j in range(len(sched))})
+    pairs = instruction_trace(program, config, 1000)
     dls = DlsDecomposition(
-        family=derived_xor_family(15, states, seed=2026),
-        scheduler=sched,
+        family=derived_xor_family(15, sorted(set(pairs)), seed=2026),
         source=SeededSource(2026),
     )
-    trace, report = run_utm_realization(program, dls, steps=1000)
+    trace, report = run_utm_realization(program, dls, pairs, steps=1000)
     assert report.effective_steps == 1000
     assert report.violations == ()
     distinct = report.distinct_observables
@@ -254,6 +247,4 @@ def test_criterion_9_incrementer_hand_oracle():
     assert result.final.head == 0
     assert result.final.state == 1
 
-    sched = Schedule(instruction_trace(program, config, 100))
-    assert len(sched) == 3
-    assert [sched.state_at(j) for j in range(3)] == [(0, 1), (0, 1), (0, 0)]
+    assert instruction_trace(program, config, 100) == ((0, 1), (0, 1), (0, 0))

@@ -37,7 +37,6 @@ from dynls.aem import (
 from dynls.bitcore import Affine, BitVec, PermTable, XorFamily, random_affine_invertible
 from dynls.dls_engine import (
     DlsDecomposition,
-    Schedule,
     derived_affine_family,
     derived_xor_family,
     realize_step,
@@ -702,17 +701,13 @@ def test_xor_family_step_matches_engine_width15():
     import random
 
     fam = XorFamily(15, mask0=0x2A53, mask1=0x1C07, flip=1)
-    dls = DlsDecomposition(
-        family={"s": fam},
-        scheduler=Schedule(("s",)),
-        source=SeededSource(0),
-    )
+    dls = DlsDecomposition(family={"s": fam}, source=SeededSource(0))
     rng = random.Random(414)
     m = Machine()
     for epoch in range(1000):
         r = BitVec(14, rng.getrandbits(14))
         b = rng.getrandbits(1)
-        real = realize_step(dls, epoch, r, b)
+        real = realize_step(dls, "s", r, b)
         m.apply(compile_step(fam, r, b, base_tick=3 * epoch))
         m.run_until(3 * epoch + 2)
         assert readout_physical(m.trace, 3 * epoch, 15) == real.physical
@@ -775,53 +770,51 @@ def test_compiled_program_survives_text_round_trip():
 # whole-machine runs driven by a tape machine
 
 
-def dls_for_run(sched, width, seed):
-    states = sorted({sched.state_at(j) for j in range(len(sched))})
+def dls_for_run(pairs, width, seed):
     return DlsDecomposition(
-        family=derived_xor_family(width, states, seed),
-        scheduler=sched,
+        family=derived_xor_family(width, sorted(set(pairs)), seed),
         source=SeededSource(seed),
     )
 
 
 def test_run_utm_incrementer_no_violations():
     program, config = binary_incrementer([1, 0, 1, 1, 1, 1])
-    sched = Schedule(instruction_trace(program, config, 64))
-    dls = dls_for_run(sched, 15, seed=7)
-    trace, report = run_utm_realization(program, dls, steps=64)
+    pairs = instruction_trace(program, config, 64)
+    dls = dls_for_run(pairs, 15, seed=7)
+    trace, report = run_utm_realization(program, dls, pairs, steps=64)
     assert report.violations == ()
-    assert report.effective_steps == len(sched)
+    assert report.effective_steps == len(pairs)
     assert len(report.observables) == report.effective_steps
 
 
 def test_run_utm_stops_at_halt():
     program, config = binary_incrementer([1, 1, 1])
-    sched = Schedule(instruction_trace(program, config, 500))
-    dls = dls_for_run(sched, 15, seed=3)
-    trace, report = run_utm_realization(program, dls, steps=500)
+    pairs = instruction_trace(program, config, 500)
+    dls = dls_for_run(pairs, 15, seed=3)
+    trace, report = run_utm_realization(program, dls, pairs, steps=500)
     assert report.requested_steps == 500
-    assert report.effective_steps == len(sched) < 500
+    assert report.effective_steps == len(pairs) < 500
     assert report.violations == ()
     with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
-        run_utm_realization(program, dls, steps=0)
+        run_utm_realization(program, dls, pairs, steps=0)
 
 
 def test_run_utm_seeded_runs_are_identical():
     program, config = endless_counter()
     results = []
     for _ in range(2):
-        sched = Schedule(instruction_trace(program, config, 60))
-        dls = dls_for_run(sched, 15, seed=11)
-        trace, report = run_utm_realization(program, dls, steps=60)
+        pairs = instruction_trace(program, config, 60)
+        dls = dls_for_run(pairs, 15, seed=11)
+        trace, report = run_utm_realization(program, dls, pairs, steps=60)
         results.append((trace_to_jsonl(trace), report.observables))
     assert results[0] == results[1]
 
 
 def test_run_utm_observables_fill_the_range():
     program, config = endless_counter()
-    sched = Schedule(instruction_trace(program, config, 300))
-    dls = dls_for_run(sched, 15, seed=5)
-    trace, report = run_utm_realization(program, dls, steps=300)
+    pairs = instruction_trace(program, config, 300)
+    dls = dls_for_run(pairs, 15, seed=5)
+    trace, report = run_utm_realization(program, dls, pairs, steps=300)
     distinct = len(set(report.observables))
     # 300 uniform draws from 2^14 values collide rarely
     assert distinct >= 280
@@ -833,23 +826,23 @@ def test_run_utm_audits_readouts_through_each_inverse(kind):
     # neither representation is its own inverse: every readout is decoded
     # through the family's invert(), a random table for "perm"
     program, config = endless_counter()
-    sched = Schedule(instruction_trace(program, config, 200))
-    states = sorted(set(sched.values))
+    pairs = instruction_trace(program, config, 200)
+    states = sorted(set(pairs))
     if kind == "perm":
         rnd = random.Random(9)
         family = {s: PermTable(15, tuple(rnd.sample(range(1 << 15), 1 << 15))) for s in states}
     else:
         family = derived_affine_family(15, states, seed=9)
-    dls = DlsDecomposition(family, sched, SeededSource(9))
-    _, report = run_utm_realization(program, dls, steps=200)
+    dls = DlsDecomposition(family, SeededSource(9))
+    _, report = run_utm_realization(program, dls, pairs, steps=200)
     assert report.violations == ()
-    assert report.effective_steps == len(sched) == 200
+    assert report.effective_steps == len(pairs) == 200
 
 
 def test_run_utm_of_an_empty_schedule_is_an_empty_run():
     program, _ = endless_counter()
-    dls = DlsDecomposition(derived_xor_family(15, [(0, 0)], 1), Schedule([]), SeededSource(1))
-    trace, report = run_utm_realization(program, dls, steps=10)
+    dls = DlsDecomposition(derived_xor_family(15, [(0, 0)], 1), SeededSource(1))
+    trace, report = run_utm_realization(program, dls, (), steps=10)
     assert trace == []
     assert report.to_text() == "steps=0/10\nviolations=0\ndistinct_observables=0\n"
 
@@ -870,15 +863,13 @@ class _OffByOne(XorFamily):
 
 def test_run_utm_reports_every_mismatch_as_key_value_tokens():
     program, config = endless_counter()
-    sched = Schedule(instruction_trace(program, config, 20))
-    states = sorted(set(sched.values))
-    family = derived_xor_family(15, states, seed=4)
+    pairs = instruction_trace(program, config, 20)
+    family = derived_xor_family(15, sorted(set(pairs)), seed=4)
     dls = DlsDecomposition(
         family={s: _OffByOne(m.width, m.mask0, m.mask1, m.flip) for s, m in family.items()},
-        scheduler=sched,
         source=SeededSource(4),
     )
-    _, report = run_utm_realization(program, dls, steps=20)
+    _, report = run_utm_realization(program, dls, pairs, steps=20)
     assert not report.ok
     assert [v.step for v in report.violations] == list(range(20))
     assert all(v.kind == "random_part" for v in report.violations)
@@ -889,7 +880,7 @@ def test_run_utm_reports_every_mismatch_as_key_value_tokens():
     for line in lines:
         fields = [token.partition("=") for token in line.split()]
         assert all(key and sep and value for key, sep, value in fields), line
-    q, a = sched.values[0]
+    q, a = pairs[0]
     bit = program.transitions[q, a][1] >> 1
     assert lines[3] == f"step=0 state=({q},{a}) kind=random_part expected={bit} decoded={bit}"
 
@@ -899,9 +890,9 @@ def test_run_utm_pattern_variety_regression():
     single step, and the distinct count sits where 1000 uniform 14-bit
     draws put it (mean near 970, never credibly below 930)."""
     program, config = endless_counter()
-    sched = Schedule(instruction_trace(program, config, 1000))
-    dls = dls_for_run(sched, 15, seed=2026)
-    trace, report = run_utm_realization(program, dls, steps=1000)
+    pairs = instruction_trace(program, config, 1000)
+    dls = dls_for_run(pairs, 15, seed=2026)
+    trace, report = run_utm_realization(program, dls, pairs, steps=1000)
     assert report.violations == ()
     obs = report.observables
     assert all(a != b for a, b in zip(obs, obs[1:]))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dynls.bitcore import Affine, XorFamily, permute_coordinates
 from dynls.blockstream import BitStream, StreamTransform
-from dynls.dls_engine import Schedule, derived_affine_family, derived_xor_family
+from dynls.dls_engine import derived_affine_family, derived_xor_family
 
 
 def _reversal(width):
@@ -26,39 +26,47 @@ def _inverse(maps, schedule):
 
 
 def test_reversal_hand_example():
-    xf = StreamTransform([_reversal(3)], Schedule(range(1)))
+    xf = StreamTransform([_reversal(3)], range(1))
     out = xf.transform(BitStream.from_bits([1, 1, 0, 0, 0, 1]))
     assert out.tolist() == [0, 1, 1, 1, 0, 0]
 
 
 def test_blocks_are_zero_indexed():
     # only block 0 takes the reversal, so schedule step j is block j
-    xf = StreamTransform([Affine.identity(2), _reversal(2)], Schedule([1, 0, 0]))
+    xf = StreamTransform([Affine.identity(2), _reversal(2)], [1, 0, 0])
     out = xf.transform(BitStream.from_bits([1, 0, 0, 1, 1, 1]))
     assert out.tolist() == [0, 1, 0, 1, 1, 1]
 
 
 def test_length_must_divide_into_blocks():
-    xf = StreamTransform([_reversal(3)], Schedule(range(1)))
+    xf = StreamTransform([_reversal(3)], range(1))
     with pytest.raises(ValueError):
         xf.transform(BitStream.from_bits([1, 0]))
 
 
 def test_empty_stream_passes_through():
-    xf = StreamTransform([_reversal(3)], Schedule(range(1)))
+    xf = StreamTransform([_reversal(3)], range(1))
     assert len(xf.transform(BitStream.from_bits([]))) == 0
 
 
 def test_schedule_value_out_of_range():
     for values in (range(3), [0, -1], []):
         with pytest.raises(ValueError):
-            StreamTransform([_reversal(2)], Schedule(values))
+            StreamTransform([_reversal(2)], values)
+
+
+def test_schedule_values_must_be_integers():
+    # floats would truncate to indices and pairs would build a 2-D table
+    maps = [_reversal(2), Affine.identity(2)]
+    for values in ([0.5, 1.7], [(0, 1), (1, 0)]):
+        with pytest.raises(ValueError, match="schedule values must be integer map indices"):
+            StreamTransform(maps, values)
 
 
 def test_map_widths_must_agree():
     for widths in ((2, 3), (3, 3, 2), (), (1,)):
         with pytest.raises(ValueError):
-            StreamTransform([_reversal(w) for w in widths], Schedule(range(len(widths))))
+            StreamTransform([_reversal(w) for w in widths], range(len(widths)))
 
 
 @given(st.data())
@@ -76,34 +84,34 @@ def test_transform_recover_roundtrip(data):
     sched_vals = data.draw(
         st.lists(st.integers(0, nmaps - 1), min_size=1, max_size=10)
     )
-    xf = StreamTransform(maps, Schedule(sched_vals))
+    xf = StreamTransform(maps, sched_vals)
     stream = BitStream.from_bits(bits)
-    assert _inverse(maps, Schedule(sched_vals)).transform(xf.transform(stream)) == stream
+    assert _inverse(maps, sched_vals).transform(xf.transform(stream)) == stream
 
 
 def test_identity_maps_pass_through():
-    xf = StreamTransform([Affine.identity(4)], Schedule(range(1)))
+    xf = StreamTransform([Affine.identity(4)], range(1))
     stream = BitStream.from_bits([1, 0, 1, 1, 0, 0, 1, 0])
     assert xf.transform(stream) == stream
-    assert _inverse([Affine.identity(4)], Schedule(range(1))).transform(stream) == stream
+    assert _inverse([Affine.identity(4)], range(1)).transform(stream) == stream
 
 
 def test_double_transform_recovers_in_reverse_order():
     fam_a = derived_xor_family(5, list(range(3)), seed=21)
     fam_b = derived_xor_family(5, list(range(4)), seed=22)
     maps_a, maps_b = [fam_a[i] for i in range(3)], [fam_b[i] for i in range(4)]
-    outer = StreamTransform(maps_a, Schedule(range(3)))
-    inner = StreamTransform(maps_b, Schedule(range(4)))
+    outer = StreamTransform(maps_a, range(3))
+    inner = StreamTransform(maps_b, range(4))
     stream = BitStream.from_bits([1, 0, 0, 1, 1] * 8)
     doubled = outer.transform(inner.transform(stream))
-    undo_outer = _inverse(maps_a, Schedule(range(3)))
-    undo_inner = _inverse(maps_b, Schedule(range(4)))
+    undo_outer = _inverse(maps_a, range(3))
+    undo_inner = _inverse(maps_b, range(4))
     assert undo_inner.transform(undo_outer.transform(doubled)) == stream
 
 
 def test_transform_is_block_local():
     fam = derived_xor_family(4, list(range(3)), seed=8)
-    xf = StreamTransform([fam[i] for i in range(3)], Schedule(range(3)))
+    xf = StreamTransform([fam[i] for i in range(3)], range(3))
     base = [0, 1, 1, 0] * 6
     tweaked = list(base)
     tweaked[9] ^= 1  # inside block 2
@@ -120,7 +128,7 @@ def test_blocks_match_direct_map_application():
 
     fam = derived_xor_family(6, list(range(2)), seed=17)
     maps = [fam[0], fam[1]]
-    xf = StreamTransform(maps, Schedule(range(2)))
+    xf = StreamTransform(maps, range(2))
     bits = [1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 0]
     out = xf.transform(BitStream.from_bits(bits)).tolist()
     for j in range(3):
@@ -132,9 +140,9 @@ def test_blocks_match_direct_map_application():
 def test_recovery_with_wrong_schedule_differs():
     maps = [XorFamily(4, 0, 0, 0), XorFamily(4, 5, 5, 0)]
     stream = BitStream.from_bits([0] * 16)
-    enc = StreamTransform(maps, Schedule(range(2))).transform(stream)
-    bad = _inverse(maps, Schedule([0])).transform(enc)
-    good = _inverse(maps, Schedule(range(2))).transform(enc)
+    enc = StreamTransform(maps, range(2)).transform(stream)
+    bad = _inverse(maps, [0]).transform(enc)
+    good = _inverse(maps, range(2)).transform(enc)
     assert good == stream
     assert bad != stream
 
@@ -142,10 +150,10 @@ def test_recovery_with_wrong_schedule_differs():
 def test_large_stream_roundtrip_exact():
     fam = derived_xor_family(15, list(range(6)), seed=3)
     maps = [fam[i] for i in range(6)]
-    xf = StreamTransform(maps, Schedule(range(6)))
+    xf = StreamTransform(maps, range(6))
     rng = np.random.default_rng(9)
     stream = BitStream.from_bits(rng.integers(0, 2, size=15 * 7000, dtype=np.uint8))
-    assert _inverse(maps, Schedule(range(6))).transform(xf.transform(stream)) == stream
+    assert _inverse(maps, range(6)).transform(xf.transform(stream)) == stream
 
 
 def _block_oracle(maps, values, bits, width, first=0, inverse=False):
@@ -194,10 +202,10 @@ def test_packed_kernel_matches_block_oracle(width, nmaps, seed, values, raw, nbl
     assume(width % 8 == 0 or nblocks * width % 8)
     maps, values = _family(width, nmaps, seed, values)
     bits = BitStream(raw).tolist()[: nblocks * width]
-    xf = StreamTransform(maps, Schedule(values))
+    xf = StreamTransform(maps, values)
     out = xf.transform(BitStream.from_bits(bits)).tolist()
     assert out == _block_oracle(maps, values, bits, width)
-    back = _inverse(maps, Schedule(values))
+    back = _inverse(maps, values)
     assert back.transform(BitStream.from_bits(bits)).tolist() == _block_oracle(
         maps, values, bits, width, inverse=True
     )
@@ -215,8 +223,8 @@ def test_chunks_carry_the_block_offset(width, nmaps, seed, values, raw, ngroups,
     cut = cuts[cut % len(cuts)] if cuts else len(raw)
     bits = BitStream(raw).tolist()
     for xf, inverse in (
-        (StreamTransform(maps, Schedule(values)), False),
-        (_inverse(maps, Schedule(values)), True),
+        (StreamTransform(maps, values), False),
+        (_inverse(maps, values), True),
     ):
         out = b"".join(c.tobytes() for c in xf.transform_chunks([raw[:cut], raw[cut:]]))
         expect = _block_oracle(maps, values, bits, width, inverse=inverse)
@@ -234,14 +242,14 @@ def test_chunks_carry_the_block_offset(width, nmaps, seed, values, raw, ngroups,
     ids=["w3-ragged", "w3-mid-block", "w16-ragged", "w16-mid-block"],
 )
 def test_chunks_must_end_on_a_block(width, chunks):
-    xf = StreamTransform([_reversal(width)], Schedule(range(1)))
+    xf = StreamTransform([_reversal(width)], range(1))
     with pytest.raises(ValueError, match="not divisible"):
         list(xf.transform_chunks(chunks))
 
 
 def test_width_cap_for_table_expansion():
     with pytest.raises(ValueError):
-        StreamTransform([XorFamily(17, 0, 0, 0)], Schedule(range(1)))
+        StreamTransform([XorFamily(17, 0, 0, 0)], range(1))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +282,7 @@ def test_transform_clears_the_padding_bits():
     # block 5 in the padding, whose image 0b001 sets bit 15
     maps = [XorFamily(3, 0b01, 0b10, 0)]
     bits = [1, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1]
-    out = StreamTransform(maps, Schedule([0])).transform(BitStream.from_bits(bits))
+    out = StreamTransform(maps, [0]).transform(BitStream.from_bits(bits))
     assert out.data[-1] >> 7 == 0
     assert out == BitStream.from_bits(_block_oracle(maps, [0], bits, 3))
 

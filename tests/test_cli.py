@@ -383,6 +383,24 @@ def test_verify_secrecy_leaky_family_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sample", [[], ["--sample", "1000"]])
+def test_verify_secrecy_report_splits_into_tokens_when_a_state_has_a_space(
+    tmp_path, capsys, sample
+):
+    mapdir = tmp_path / "maps"
+    mapdir.mkdir()
+    write_map(XorFamily(4, 1, 2, 1), mapdir / "a b.map")
+    write_map(XorFamily(4, 3, 4, 0), mapdir / "c.map")
+    assert main(["verify-secrecy", "--dls", f"file:{mapdir}", *sample]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:4]] == [
+        r"state='a\x20b'", r"state='a\x20b'", "state='c'", "state='c'"
+    ]
+    for line in lines:
+        fields = [token.partition("=") for token in line.split()]
+        assert all(key and sep and value for key, sep, value in fields), line
+
+
+@pytest.mark.parametrize("sample", [[], ["--sample", "1000"]])
 def test_verify_secrecy_rejects_mixed_widths(tmp_path, capsys, sample):
     mapdir = tmp_path / "maps"
     mapdir.mkdir()

@@ -38,7 +38,6 @@ from dynls.dls_engine import (
     SAMPLE_CHUNK,
     DlsDecomposition,
     Realization,
-    Schedule,
     _TEMME,
     chisquare_uniform,
     derived_affine_family,
@@ -61,12 +60,12 @@ from write_high import reference_write_high_indicator
 
 def _tiny_dls(source):
     fam = {("s", 0): XorFamily(3, mask0=1, mask1=2, flip=1)}
-    return DlsDecomposition(fam, Schedule([("s", 0)]), source)
+    return DlsDecomposition(fam, source)
 
 
 def test_realize_hand_example():
     dls = _tiny_dls(ByteSource(b"\x06"))
-    real = dls.realize(0, 1)
+    real = dls.realize(("s", 0), 1)
     assert real.random_part == BitVec(2, 2)
     assert real.physical == BitVec(3, 0)
     assert real.observable == BitVec(2, 0)
@@ -92,7 +91,7 @@ def test_family_width_mismatch_rejected():
         {0: XorFamily(1, 0, 0, 1)},  # the hidden bit alone: nothing observable
     ):
         with pytest.raises(ValueError):
-            DlsDecomposition(family, Schedule([0]), ByteSource(b""))
+            DlsDecomposition(family, ByteSource(b""))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 10))
@@ -100,27 +99,17 @@ def test_family_width_mismatch_rejected():
 def test_realize_decode_roundtrip(seed, width):
     states = list(range(5))
     fam = derived_xor_family(width, states, seed)
-    dls = DlsDecomposition(fam, Schedule(states), SeededSource(seed))
+    dls = DlsDecomposition(fam, SeededSource(seed))
     assert dls.width == width  # taken from the maps
     for j in range(20):
         bit = (seed >> (j % 31)) & 1
-        real = dls.realize(j, bit)
+        real = dls.realize(states[j % len(states)], bit)
         assert real.observable.width == width - 1
         assert dls.decode(real.physical, real.state) == (real.random_part, bit)
 
 
-def test_schedulers_cycle():
-    assert Schedule(["a", "b", "c"]).state_at(5) == "c"
-    assert Schedule([(0, 1), (1, 0)]).state_at(4) == (0, 1)
-    assert len(Schedule([(0, 1), (1, 0)])) == 2
-    empty = Schedule([])
-    assert len(empty) == 0
-    with pytest.raises(ValueError):
-        empty.state_at(0)
-
-
 def test_realize_step_identity_family_sets_top_coordinate():
-    dls = DlsDecomposition({0: Affine.identity(5)}, Schedule([0]), ByteSource(b""))
+    dls = DlsDecomposition({0: Affine.identity(5)}, ByteSource(b""))
     real = realize_step(dls, 0, BitVec(4, 0), 1)
     assert real.physical == BitVec(5, 0b10000)
     assert real.observable == BitVec(4, 0)
@@ -128,13 +117,13 @@ def test_realize_step_identity_family_sets_top_coordinate():
 
 def test_realize_step_xorfam_width4_oracle():
     # masks 101/011 with flip 1, r=101, b=0: low bits cancel, top bit flips
-    dls = DlsDecomposition({0: XorFamily(4, 0b101, 0b011, 1)}, Schedule([0]), ByteSource(b""))
+    dls = DlsDecomposition({0: XorFamily(4, 0b101, 0b011, 1)}, ByteSource(b""))
     real = realize_step(dls, 0, BitVec(3, 0b101), 0)
     assert real.physical == BitVec(4, 0b1000)
 
 
 def test_identity_decode_is_split():
-    dls = DlsDecomposition({0: Affine.identity(6)}, Schedule([0]), ByteSource(b""))
+    dls = DlsDecomposition({0: Affine.identity(6)}, ByteSource(b""))
     for y in range(64):
         vec = BitVec(6, y)
         low, top = vec.split(5)
@@ -143,14 +132,11 @@ def test_identity_decode_is_split():
 
 def test_affine_decode_roundtrip_exhaustive_n6():
     fam = derived_affine_family(6, list(range(3)), seed=12)
-    dls = DlsDecomposition(fam, Schedule(list(range(3))), SeededSource(0))
+    dls = DlsDecomposition(fam, SeededSource(0))
     for s in range(3):
         for r in range(32):
             for b in (0, 1):
-                real = realize_step(
-                    DlsDecomposition(fam, Schedule([s]), SeededSource(0)),
-                    0, BitVec(5, r), b,
-                )
+                real = realize_step(dls, s, BitVec(5, r), b)
                 assert dls.decode(real.physical, s) == (BitVec(5, r), b)
 
 
@@ -159,10 +145,10 @@ def test_wrong_state_decode_flips_bit_when_flips_differ():
         "a": XorFamily(4, 0b001, 0b110, 0),
         "b": XorFamily(4, 0b011, 0b100, 1),
     }
-    dls = DlsDecomposition(fam, Schedule(["a"]), ByteSource(b""))
+    dls = DlsDecomposition(fam, ByteSource(b""))
     for r in range(8):
         for b in (0, 1):
-            real = realize_step(dls, 0, BitVec(3, r), b)
+            real = realize_step(dls, "a", BitVec(3, r), b)
             _, wrong = dls.decode(real.physical, "b")
             assert wrong != b  # differing flip always lands on the wrong side
 
@@ -176,9 +162,9 @@ def test_decode_width_checked():
 def test_realize_step_width_checked():
     dls = _tiny_dls(ByteSource(b""))
     with pytest.raises(ValueError):
-        realize_step(dls, 0, BitVec(3, 0), 0)
+        realize_step(dls, ("s", 0), BitVec(3, 0), 0)
     with pytest.raises(ValueError):
-        realize_step(dls, 0, BitVec(2, 0), 2)
+        realize_step(dls, ("s", 0), BitVec(2, 0), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,37 +175,41 @@ def test_realize_step_width_checked():
 def _fixture_dls(width, seed, source):
     points = [BitVec(5, x) for x in range(32)]
     fam = derived_xor_family(width, [p.value for p in points], seed)
-    sched = Schedule([p.value for p in points])
-    return DlsDecomposition(fam, sched, source), points
+    return DlsDecomposition(fam, source), points
+
+
+def _fresh_run(dls, f, points, steps):
+    """Step j realizes point j mod 32 under the state keyed by its value."""
+    for j in range(steps):
+        point = points[j % len(points)]
+        yield dls.realize(point.value, f(point))
 
 
 def test_invariance_clean_run():
     f = reference_write_high_indicator()
     dls, points = _fixture_dls(15, 7, SeededSource(7))
-    report = verify_invariance(dls, f, points, steps=500)
+    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 500))
     assert report.ok
     assert report.steps == 500
     assert report.violations == ()
     with pytest.raises(ValueError, match="need at least one logical point"):
-        verify_invariance(dls, f, [], steps=500)
-    with pytest.raises(ValueError, match="steps is required when realizations are generated"):
-        verify_invariance(dls, f, points)
+        verify_invariance(dls, f, [], _fresh_run(dls, f, points, 500))
 
 
 def test_invariance_catches_injected_fault():
     f = reference_write_high_indicator()
     dls, points = _fixture_dls(15, 7, SeededSource(7))
-    reals = [dls.realize(j, f(points[j % 32])) for j in range(64)]
+    reals = list(_fresh_run(dls, f, points, 64))
     # re-encode step 7 with the logical bit flipped; the physical state now
     # decodes to the wrong side of the level set
     bad = reals[7]
     r = bad.random_part
     flipped = BitVec(r.width + 1, r.value | (1 - bad.logical_bit) << r.width)
     reals[7] = Realization(
-        bad.step, bad.state, bad.random_part, bad.logical_bit,
+        bad.state, bad.random_part, bad.logical_bit,
         dls.map_for(bad.state).apply(flipped),
     )
-    report = verify_invariance(dls, f, points, steps=64, realizations=reals)
+    report = verify_invariance(dls, f, points, reals)
     assert not report.ok
     assert [v.step for v in report.violations] == [7]
     assert report.violations[0].decoded_bit != f(points[7])
@@ -239,13 +229,13 @@ def test_invariance_catches_observable_tampering():
     # intact but is still flagged, via the recovered random part
     f = reference_write_high_indicator()
     dls, points = _fixture_dls(15, 7, SeededSource(7))
-    reals = [dls.realize(j, f(points[j % 32])) for j in range(40)]
+    reals = list(_fresh_run(dls, f, points, 40))
     victim = reals[11]
     reals[11] = Realization(
-        victim.step, victim.state, victim.random_part, victim.logical_bit,
+        victim.state, victim.random_part, victim.logical_bit,
         victim.physical ^ BitVec(15, 1 << 4),
     )
-    report = verify_invariance(dls, f, points, steps=40, realizations=reals)
+    report = verify_invariance(dls, f, points, reals)
     assert [v.step for v in report.violations] == [11]
     assert report.violations[0].kind == "random_part"
     assert report.violations[0].decoded_bit == f(points[11])
@@ -266,8 +256,8 @@ def test_generated_run_audits_the_random_part():
         state: _KeepsTheBitLosesTheRandomPart(m.width, m.mask0, m.mask1, m.flip)
         for state, m in dls.family.items()
     }
-    dls = DlsDecomposition(fam, dls.scheduler, dls.source)
-    report = verify_invariance(dls, f, points, steps=40)
+    dls = DlsDecomposition(fam, dls.source)
+    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 40))
     assert [v.step for v in report.violations] == list(range(40))
     assert all(v.kind == "random_part" for v in report.violations)
     assert all(v.decoded_bit == v.expected_bit for v in report.violations)
@@ -288,11 +278,11 @@ def test_supplied_run_is_audited_as_it_arrives(monkeypatch):
     monkeypatch.setattr(dls, "decode", counted)
 
     def run():
-        for j in range(20):
+        for j, real in enumerate(_fresh_run(dls, f, points, 20)):
             assert len(decoded) == j
-            yield dls.realize(j, f(points[j]))
+            yield real
 
-    report = verify_invariance(dls, f, points, realizations=run())
+    report = verify_invariance(dls, f, points, run())
     assert report.ok
     assert report.steps == len(decoded) == 20
 
@@ -300,14 +290,14 @@ def test_supplied_run_is_audited_as_it_arrives(monkeypatch):
 def test_constant_zero_function_always_decodes_zero():
     f = BoolFn(5, (0,) * 32)
     dls, points = _fixture_dls(10, 5, SeededSource(5))
-    report = verify_invariance(dls, f, points, steps=200)
+    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 200))
     assert report.ok
 
 
 def test_invariance_report_text():
     f = reference_write_high_indicator()
     dls, points = _fixture_dls(8, 3, SeededSource(3))
-    text = verify_invariance(dls, f, points, steps=32).to_text()
+    text = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 32)).to_text()
     assert "steps=32" in text and "violations=0" in text
 
 
