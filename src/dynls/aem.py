@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .bitcore import BitVec, InvertibleMap, XorFamily
-from .dls_engine import Realization, verify_invariance
+from .dls_engine import DlsDecomposition, Realization, verify_invariance
 from .tm import TmProgram, instruction_index, transition_components
 
 
@@ -570,18 +570,19 @@ class UtmRunReport:
         return "".join(f"{line}\n" for line in lines)
 
 
-def run_utm_realization(program: TmProgram, dls, pairs, steps: int):
+def run_utm_realization(program: TmProgram, family, source, pairs, steps: int):
     """Realize a tape machine's run on one firing machine.
 
     ``pairs`` is the run, the (state, symbol) pairs from
-    ``tm.instruction_trace``: step j realizes pair j under pair j's map, up
-    to ``steps`` of them, in the epoch at base tick 3j.  Its logical bit is
-    f(pair), f the high write-symbol component on the packed pair, and its
-    random part is the next width-1 bits of ``dls.source``.  Each
-    step's readout is handed, as it is read, to
-    ``dls_engine.verify_invariance``, which decodes it onto f's level set
-    and back to the random part.  A machine that halted early gives a
-    shorter run; the report records both step counts.
+    ``tm.instruction_trace``: step j realizes pair j under ``family[pair j]``,
+    up to ``steps`` of them, in the epoch at base tick 3j.  Its logical bit
+    is f(pair), f the high write-symbol component on the packed pair, and
+    its random part is the next width-1 bits of ``source``.  Each step's
+    readout is handed, as it is read, to ``dls_engine.verify_invariance``,
+    which decodes it onto f's level set and back to the random part.  A
+    machine that halted early gives a shorter run; the report records both
+    step counts.  One that halted before its first step gives an empty trace
+    and ``steps=0/<steps>``, and then ``family`` may be empty.
 
     Returns (trace, report).
     """
@@ -591,13 +592,14 @@ def run_utm_realization(program: TmProgram, dls, pairs, steps: int):
     pairs = pairs[:steps]
     if not pairs:  # the machine halted before its first step
         return [], UtmRunReport(steps, 0, (), ())
+    dls = DlsDecomposition(family, source)
     point_of = {pair: BitVec(5, instruction_index(*pair)) for pair in set(pairs)}
     bit_of = {pair: f(point) for pair, point in point_of.items()}
     points = [point_of[pair] for pair in pairs]
 
     machine = Machine()
     k = dls.width - 1
-    next_bits, mask = dls.source.next_bits, (1 << k) - 1
+    next_bits, mask = source.next_bits, (1 << k) - 1
     observables = []
 
     def readouts():

@@ -64,28 +64,6 @@ class BitVec:
             value |= b << i
         return cls(len(seq), value)
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.width:
-            raise IndexError(f"coordinate {i} out of range for width {self.width}")
-        return (self.value >> i) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.width))
-
-    def split(self, k: int) -> tuple["BitVec", "BitVec"]:
-        """Split into (coordinates 0..k-1, coordinates k..width-1)."""
-        if not 1 <= k < self.width:
-            raise ValueError(f"split point {k} out of range for width {self.width}")
-        return (
-            BitVec(k, self.value & ((1 << k) - 1)),
-            BitVec(self.width - k, self.value >> k),
-        )
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        return BitVec(self.width, self.value ^ other.value)
-
     def __index__(self) -> int:
         return self.value
 

@@ -16,11 +16,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .aem import UtmRunReport, run_utm_realization, trace_to_jsonl
+from .aem import run_utm_realization, trace_to_jsonl
 from .bitcore import _fields, read_map
 from .blockstream import CHUNK_GROUPS, StreamTransform
 from .dls_engine import (
-    DlsDecomposition,
     _family_width,
     derived_affine_family,
     derived_xor_family,
@@ -173,20 +172,12 @@ def cmd_run_utm(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     source, descriptor = parse_source(args.rng)
-    split_spec(args.dls, FAMILY_FORMS)  # before the trace, which may have no step to map
+    split_spec(args.dls, FAMILY_FORMS)  # a mistyped --dls fails before a long trace
     program, config = read_machine(args.tm)
 
     pairs = instruction_trace(program, config, args.steps)
-    if pairs:
-        family = family_for_states(
-            args.dls, UTM_WIDTH, sorted(set(pairs)), descriptor.get("seed", 0)
-        )
-        dls = DlsDecomposition(family, source)
-        trace, report = run_utm_realization(program, dls, pairs, args.steps)
-    else:
-        # the machine halts before consuming a single instruction
-        trace = []
-        report = UtmRunReport(args.steps, 0, (), ())
+    family = family_for_states(args.dls, UTM_WIDTH, sorted(set(pairs)), descriptor.get("seed", 0))
+    trace, report = run_utm_realization(program, family, source, pairs, args.steps)
 
     _write_run(
         args.out,
@@ -213,6 +204,8 @@ def cmd_verify_secrecy(args) -> int:
     if kind == "file":
         if args.states is not None:
             raise ValueError("--states does not apply to a file: family")
+        if not Path(arg).is_dir():
+            raise ValueError(f"no map directory {arg}")
         states = [p.stem for p in sorted(Path(arg).glob("*.map"))]
     elif args.width is None:
         raise ValueError("--width is required for derived families")

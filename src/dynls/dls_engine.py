@@ -515,6 +515,7 @@ def derived_affine_family(
     width: int, states: Sequence[Any], seed: int | str
 ) -> dict[Any, Any]:
     """One invertible affine map per state, derived from the seed."""
+    _check_width(width)
     fam = {}
     for state in states:
         sub = random.Random(f"affine:{seed}:{state!r}").getrandbits(64)

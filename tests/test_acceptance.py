@@ -191,11 +191,8 @@ def test_criterion_7_self_modification_regression():
     t0 = time.monotonic()
     program, config = endless_counter()
     pairs = instruction_trace(program, config, 1000)
-    dls = DlsDecomposition(
-        family=derived_xor_family(15, sorted(set(pairs)), seed=2026),
-        source=SeededSource(2026),
-    )
-    trace, report = run_utm_realization(program, dls, pairs, steps=1000)
+    family = derived_xor_family(15, sorted(set(pairs)), seed=2026)
+    trace, report = run_utm_realization(program, family, SeededSource(2026), pairs, steps=1000)
     assert report.effective_steps == 1000
     assert report.violations == ()
     distinct = report.distinct_observables

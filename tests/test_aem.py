@@ -770,18 +770,16 @@ def test_compiled_program_survives_text_round_trip():
 # whole-machine runs driven by a tape machine
 
 
-def dls_for_run(pairs, width, seed):
-    return DlsDecomposition(
-        family=derived_xor_family(width, sorted(set(pairs)), seed),
-        source=SeededSource(seed),
-    )
+def run_xorfam(program, pairs, seed, steps):
+    """run_utm_realization over the xor family and seeded source of ``seed``."""
+    family = derived_xor_family(15, sorted(set(pairs)), seed)
+    return run_utm_realization(program, family, SeededSource(seed), pairs, steps)
 
 
 def test_run_utm_incrementer_no_violations():
     program, config = binary_incrementer([1, 0, 1, 1, 1, 1])
     pairs = instruction_trace(program, config, 64)
-    dls = dls_for_run(pairs, 15, seed=7)
-    trace, report = run_utm_realization(program, dls, pairs, steps=64)
+    trace, report = run_xorfam(program, pairs, seed=7, steps=64)
     assert report.violations == ()
     assert report.effective_steps == len(pairs)
     assert len(report.observables) == report.effective_steps
@@ -790,13 +788,12 @@ def test_run_utm_incrementer_no_violations():
 def test_run_utm_stops_at_halt():
     program, config = binary_incrementer([1, 1, 1])
     pairs = instruction_trace(program, config, 500)
-    dls = dls_for_run(pairs, 15, seed=3)
-    trace, report = run_utm_realization(program, dls, pairs, steps=500)
+    trace, report = run_xorfam(program, pairs, seed=3, steps=500)
     assert report.requested_steps == 500
     assert report.effective_steps == len(pairs) < 500
     assert report.violations == ()
     with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
-        run_utm_realization(program, dls, pairs, steps=0)
+        run_xorfam(program, pairs, seed=3, steps=0)
 
 
 def test_run_utm_seeded_runs_are_identical():
@@ -804,8 +801,7 @@ def test_run_utm_seeded_runs_are_identical():
     results = []
     for _ in range(2):
         pairs = instruction_trace(program, config, 60)
-        dls = dls_for_run(pairs, 15, seed=11)
-        trace, report = run_utm_realization(program, dls, pairs, steps=60)
+        trace, report = run_xorfam(program, pairs, seed=11, steps=60)
         results.append((trace_to_jsonl(trace), report.observables))
     assert results[0] == results[1]
 
@@ -813,8 +809,7 @@ def test_run_utm_seeded_runs_are_identical():
 def test_run_utm_observables_fill_the_range():
     program, config = endless_counter()
     pairs = instruction_trace(program, config, 300)
-    dls = dls_for_run(pairs, 15, seed=5)
-    trace, report = run_utm_realization(program, dls, pairs, steps=300)
+    trace, report = run_xorfam(program, pairs, seed=5, steps=300)
     distinct = len(set(report.observables))
     # 300 uniform draws from 2^14 values collide rarely
     assert distinct >= 280
@@ -833,16 +828,16 @@ def test_run_utm_audits_readouts_through_each_inverse(kind):
         family = {s: PermTable(15, tuple(rnd.sample(range(1 << 15), 1 << 15))) for s in states}
     else:
         family = derived_affine_family(15, states, seed=9)
-    dls = DlsDecomposition(family, SeededSource(9))
-    _, report = run_utm_realization(program, dls, pairs, steps=200)
+    _, report = run_utm_realization(program, family, SeededSource(9), pairs, steps=200)
     assert report.violations == ()
     assert report.effective_steps == len(pairs) == 200
 
 
 def test_run_utm_of_an_empty_schedule_is_an_empty_run():
+    # a machine that halts at once has no state to key a map on: the
+    # family may be empty, as no DlsDecomposition is built for no step
     program, _ = endless_counter()
-    dls = DlsDecomposition(derived_xor_family(15, [(0, 0)], 1), SeededSource(1))
-    trace, report = run_utm_realization(program, dls, (), steps=10)
+    trace, report = run_utm_realization(program, {}, SeededSource(1), (), steps=10)
     assert trace == []
     assert report.to_text() == "steps=0/10\nviolations=0\ndistinct_observables=0\n"
 
@@ -865,11 +860,8 @@ def test_run_utm_reports_every_mismatch_as_key_value_tokens():
     program, config = endless_counter()
     pairs = instruction_trace(program, config, 20)
     family = derived_xor_family(15, sorted(set(pairs)), seed=4)
-    dls = DlsDecomposition(
-        family={s: _OffByOne(m.width, m.mask0, m.mask1, m.flip) for s, m in family.items()},
-        source=SeededSource(4),
-    )
-    _, report = run_utm_realization(program, dls, pairs, steps=20)
+    planted = {s: _OffByOne(m.width, m.mask0, m.mask1, m.flip) for s, m in family.items()}
+    _, report = run_utm_realization(program, planted, SeededSource(4), pairs, steps=20)
     assert not report.ok
     assert [v.step for v in report.violations] == list(range(20))
     assert all(v.kind == "random_part" for v in report.violations)
@@ -891,8 +883,7 @@ def test_run_utm_pattern_variety_regression():
     draws put it (mean near 970, never credibly below 930)."""
     program, config = endless_counter()
     pairs = instruction_trace(program, config, 1000)
-    dls = dls_for_run(pairs, 15, seed=2026)
-    trace, report = run_utm_realization(program, dls, pairs, steps=1000)
+    trace, report = run_xorfam(program, pairs, seed=2026, steps=1000)
     assert report.violations == ()
     obs = report.observables
     assert all(a != b for a, b in zip(obs, obs[1:]))

@@ -267,18 +267,8 @@ def test_table_must_permute_its_domain():
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=24))
 def test_from_bits_roundtrip(bits):
-    assert list(BitVec.from_bits(bits).bits()) == bits
-
-
-@given(st.data())
-def test_concat_split_roundtrip(data):
-    lo = data.draw(st.integers(1, 12))
-    hi = data.draw(st.integers(1, 12))
-    a = BitVec(lo, data.draw(st.integers(0, (1 << lo) - 1)))
-    b = BitVec(hi, data.draw(st.integers(0, (1 << hi) - 1)))
-    joined = BitVec(lo + hi, a.value | b.value << lo)
-    assert joined.width == lo + hi
-    assert joined.split(lo) == (a, b)
+    value = sum(b << i for i, b in enumerate(bits))
+    assert BitVec.from_bits(bits) == BitVec(len(bits), value)
 
 
 def test_bitvec_bounds_checked():
@@ -288,8 +278,6 @@ def test_bitvec_bounds_checked():
         BitVec(0, 0)
     with pytest.raises(ValueError):
         BitVec(25, 0)
-    with pytest.raises(IndexError):
-        BitVec(3, 0).bit(3)
 
 
 def test_permute_requires_permutation():
@@ -301,8 +289,6 @@ def test_permute_requires_permutation():
     "build, exc, fragment",
     [
         (lambda: BitVec.from_bits([0, 2]), ValueError, "bit 1 is 2, expected 0 or 1"),
-        (lambda: BitVec(4, 0).split(4), ValueError, "split point 4 out of range for width 4"),
-        (lambda: BitVec(3, 0) ^ BitVec(4, 0), ValueError, "width mismatch: 3 vs 4"),
         (lambda: BoolFn(2, (0, 1, 0)), ValueError, "table length 3 != 2^2"),
         (lambda: BoolFn(1, (0, 2)), ValueError, "table entries must be bits"),
         (lambda: BoolFn(2, (0,) * 4)(BitVec(3, 0)), ValueError, "input width 3 != domain"),
@@ -314,7 +300,7 @@ def test_permute_requires_permutation():
         (lambda: map_to_text(object()), TypeError, "unknown map representation: object"),
     ],
     ids=[
-        "from_bits", "split", "xor", "table_length", "table_entries", "call_width",
+        "from_bits", "table_length", "table_entries", "call_width",
         "level", "affine_rows", "affine_offset", "xorfam_masks", "xorfam_flip", "map_to_text",
     ],
 )

@@ -134,7 +134,7 @@ def test_blocks_match_direct_map_application():
     for j in range(3):
         block = BitVec.from_bits(bits[6 * j : 6 * j + 6])
         expect = maps[j % 2].apply(block)
-        assert out[6 * j : 6 * j + 6] == list(expect.bits())
+        assert out[6 * j : 6 * j + 6] == [(expect.value >> i) & 1 for i in range(6)]
 
 
 def test_recovery_with_wrong_schedule_differs():

@@ -160,6 +160,26 @@ def test_run_utm_machine_without_a_start_rule(tmp_path):
     assert "violations=0" in report
     assert (out / "trace.jsonl").read_bytes() == b""
 
+def test_run_utm_rule_less_machine_is_an_empty_library_run(tmp_path, monkeypatch):
+    # the library's empty-run rule is the only one: the CLI hands it the run
+    calls = []
+    real = cli.run_utm_realization
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_utm_realization", counted)
+    tm_path = tmp_path / "none.tm"
+    tm_path.write_text("states=1\nalphabet=2\n")
+    out = tmp_path / "none"
+    argv = ["run-utm", "--tm", str(tm_path), "--steps", "10", "--rng", "seeded:1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert (out / "report.txt").read_text() == "steps=0/10\nviolations=0\ndistinct_observables=0\n"
+    assert (out / "trace.jsonl").read_bytes() == b""
+
+
 def test_run_utm_file_family_runs_at_its_own_width(counter_tm, tmp_path, capsys):
     program, config = tm.read_machine(counter_tm)
     mapdir = tmp_path / "maps"
@@ -293,17 +313,24 @@ _FAMILIES = "expected one of xorfam[:<seed>], affine:<seed>, file:<dir>"
         (["stream", "transform", "--in", "COUNTER", "--maps", "xorfam", "--width", "8",
           "--count", "0", "--sched", "periodic:1", "--out", "OUT"],
          "map count must be >= 1, got 0"),
+        (["verify-secrecy", "--dls", "file:MISSING", "--out", "OUT"], "no map directory "),
+        # with no states, only the width check sees a bad --width
+        (["verify-secrecy", "--dls", "xorfam:1", "--width", "99", "--states", "0", "--out",
+          "OUT"], "width must be in 1..24, got 99"),
+        (["verify-secrecy", "--dls", "affine:1", "--width", "99", "--states", "0", "--out",
+          "OUT"], "width must be in 1..24, got 99"),
     ],
     ids=["dls", "dls-no-steps", "rng", "seed", "sched", "transform-no-input",
          "recover-no-input", "secrecy", "steps", "seed-range", "no-map-file", "no-width",
-         "period", "sched-halts", "count"],
+         "period", "sched-halts", "count", "no-map-dir", "xorfam-no-states",
+         "affine-no-states"],
 )
 def test_failed_inputs_leave_no_out_directory(tmp_path, counter_tm, capsys, argv, message):
     out = tmp_path / "out"
     stuck = _stuck_tm(tmp_path)
     spots = {"COUNTER": counter_tm, "STUCK": stuck, "trace:STUCK": f"trace:{stuck}",
              "file:TMP": f"file:{tmp_path}", "MISSING": str(tmp_path / "missing.bits"),
-             "OUT": str(out)}
+             "file:MISSING": f"file:{tmp_path / 'missing'}", "OUT": str(out)}
     assert main([spots.get(arg, arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dynls:") and message in err, err

@@ -125,9 +125,7 @@ def test_realize_step_xorfam_width4_oracle():
 def test_identity_decode_is_split():
     dls = DlsDecomposition({0: Affine.identity(6)}, ByteSource(b""))
     for y in range(64):
-        vec = BitVec(6, y)
-        low, top = vec.split(5)
-        assert dls.decode(vec, 0) == (low, top.value)
+        assert dls.decode(BitVec(6, y), 0) == (BitVec(5, y & 31), y >> 5)
 
 
 def test_affine_decode_roundtrip_exhaustive_n6():
@@ -233,7 +231,7 @@ def test_invariance_catches_observable_tampering():
     victim = reals[11]
     reals[11] = Realization(
         victim.state, victim.random_part, victim.logical_bit,
-        victim.physical ^ BitVec(15, 1 << 4),
+        BitVec(15, victim.physical.value ^ 1 << 4),
     )
     report = verify_invariance(dls, f, points, reals)
     assert [v.step for v in report.violations] == [11]
