@@ -28,7 +28,6 @@ from dynls.dls_engine import (
     Realization,
     derived_affine_family,
     derived_xor_family,
-    realize_step,
     sampled_secrecy_report,
     verify_invariance,
     verify_perfect_secrecy,
@@ -92,7 +91,6 @@ __all__ = [
     "print_program",
     "random_affine_invertible",
     "readout_physical",
-    "realize_step",
     "run",
     "run_utm_realization",
     "sampled_secrecy_report",

@@ -550,15 +550,11 @@ class UtmRunReport:
     requested_steps: int
     effective_steps: int
     violations: tuple  # of dls_engine.StepViolation
-    observables: tuple
+    distinct_observables: int
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def distinct_observables(self) -> int:
-        return len(set(self.observables))
 
     def to_text(self) -> str:
         lines = [
@@ -577,12 +573,13 @@ def run_utm_realization(program: TmProgram, family, source, pairs, steps: int):
     ``tm.instruction_trace``: step j realizes pair j under ``family[pair j]``,
     up to ``steps`` of them, in the epoch at base tick 3j.  Its logical bit
     is f(pair), f the high write-symbol component on the packed pair, and
-    its random part is the next width-1 bits of ``source``.  Each step's
-    readout is handed, as it is read, to ``dls_engine.verify_invariance``,
-    which decodes it onto f's level set and back to the random part.  A
-    machine that halted early gives a shorter run; the report records both
-    step counts.  One that halted before its first step gives an empty trace
-    and ``steps=0/<steps>``, and then ``family`` may be empty.
+    its random part is the next width-1 bits the run draws from ``source``.
+    Each readout goes, as it is read, to ``dls_engine.verify_invariance``,
+    which decodes it with ``DlsDecomposition(family)`` onto f's level set
+    and back to the random part.  The trace holds the readouts; the report
+    counts their distinct observable parts and both step counts.  A machine
+    that halted early gives a shorter run; one that halted before its first
+    step, an empty trace and ``steps=0/<steps>`` from a possibly empty family.
 
     Returns (trace, report).
     """
@@ -591,8 +588,8 @@ def run_utm_realization(program: TmProgram, family, source, pairs, steps: int):
     f = transition_components(program)[3]
     pairs = pairs[:steps]
     if not pairs:  # the machine halted before its first step
-        return [], UtmRunReport(steps, 0, (), ())
-    dls = DlsDecomposition(family, source)
+        return [], UtmRunReport(steps, 0, (), 0)
+    dls = DlsDecomposition(family)
     point_of = {pair: BitVec(5, instruction_index(*pair)) for pair in set(pairs)}
     bit_of = {pair: f(point) for pair, point in point_of.items()}
     points = [point_of[pair] for pair in pairs]
@@ -600,7 +597,7 @@ def run_utm_realization(program: TmProgram, family, source, pairs, steps: int):
     machine = Machine()
     k = dls.width - 1
     next_bits, mask = source.next_bits, (1 << k) - 1
-    observables = []
+    observables = set()
 
     def readouts():
         for j, pair in enumerate(pairs):
@@ -609,8 +606,8 @@ def run_utm_realization(program: TmProgram, family, source, pairs, steps: int):
             machine.apply(compile_step(dls.map_for(pair), r, bit, base))
             machine.run_until(base + EPOCH_TICKS - 1)
             got = readout_physical(machine.trace, base, dls.width)
-            observables.append(got.value & mask)
+            observables.add(got.value & mask)
             yield Realization(pair, r, bit, got)
 
     audit = verify_invariance(dls, f, points, readouts())
-    return machine.trace, UtmRunReport(steps, audit.steps, audit.violations, tuple(observables))
+    return machine.trace, UtmRunReport(steps, audit.steps, audit.violations, len(observables))

@@ -88,12 +88,6 @@ class BoolFn:
         if any(v not in (0, 1) for v in self.table):
             raise ValueError("table entries must be bits")
 
-    @classmethod
-    def from_members(cls, domain_width: int, members: Iterable[BitVec | int]) -> "BoolFn":
-        """Indicator function of a set of points."""
-        hot = {int(m) for m in members}
-        return cls(domain_width, tuple(1 if x in hot else 0 for x in range(1 << domain_width)))
-
     def __call__(self, x: BitVec) -> int:
         if x.width != self.domain_width:
             raise ValueError(
@@ -115,10 +109,6 @@ class LevelSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def indicator(self) -> BoolFn:
-        """Boolean function that is 1 exactly on the members."""
-        return BoolFn.from_members(self.source.domain_width, self.members)
 
 
 def level_set(f: BoolFn, c: int) -> LevelSet:

@@ -75,11 +75,10 @@ def _family_width(maps: Iterable[InvertibleMap]) -> int:
 
 @dataclass
 class DlsDecomposition:
-    """Width-n physical layer: a map family and a bit source; n is the
-    family's width."""
+    """Width-n physical layer: a map family, n its width.  Each step's
+    random part is an input, so whoever holds the family inverts any step."""
 
     family: Mapping[Any, InvertibleMap]
-    source: Any  # anything with next_bits(k) -> BitVec
     width: int = field(init=False)
     _inverses: dict[Any, InvertibleMap] = field(init=False, repr=False, compare=False)
 
@@ -93,9 +92,15 @@ class DlsDecomposition:
         except KeyError:
             raise ValueError(f"no physical map for state {state!r}") from None
 
-    def realize(self, state: Any, logical_bit: int) -> Realization:
-        """Encode one bit under a state's map with a random part from the source."""
-        return realize_step(self, state, self.source.next_bits(self.width - 1), logical_bit)
+    def realize(self, state: Any, r: BitVec, logical_bit: int) -> Realization:
+        """Encode one bit with random part r under a state's map."""
+        if logical_bit not in (0, 1):
+            raise ValueError(f"logical bit must be 0 or 1, got {logical_bit}")
+        if r.width != self.width - 1:
+            raise ValueError(f"random part width {r.width} != {self.width - 1}")
+        m = self.map_for(state)
+        physical = BitVec(m.width, m.apply_int(r.value | logical_bit << r.width))
+        return Realization(state, r, logical_bit, physical)
 
     def decode(self, physical: BitVec, state: Any) -> tuple[BitVec, int]:
         """Invert a physical state back to (random part, logical bit)."""
@@ -104,21 +109,6 @@ class DlsDecomposition:
         pre = self._inverses[state].apply(physical).value
         k = self.width - 1
         return BitVec(k, pre & ((1 << k) - 1)), pre >> k
-
-
-def realize_step(
-    dls: DlsDecomposition, state: Any, r: BitVec, logical_bit: int
-) -> Realization:
-    """One step's encoding under a state's map with an explicit random part."""
-    if logical_bit not in (0, 1):
-        raise ValueError(f"logical bit must be 0 or 1, got {logical_bit}")
-    if r.width != dls.width - 1:
-        raise ValueError(
-            f"random part width {r.width} != {dls.width - 1}"
-        )
-    m = dls.map_for(state)
-    physical = BitVec(m.width, m.apply_int(r.value | logical_bit << r.width))
-    return Realization(state, r, logical_bit, physical)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +164,9 @@ def verify_invariance(
     """Check that every step's physical state decodes back to its random
     part and onto the correct side of f's level set; point j of the run is
     ``points[j % len(points)]``.  ``realizations`` is any iterable: a fresh
-    run (a generator of ``dls.realize(...)``), a firing machine's readouts,
-    fault injection, replay.  Each step is audited as it arrives, and the
-    steps audited set the step count.
+    run (``dls.realize`` on random parts the caller draws), a firing
+    machine's readouts, fault injection, replay.  Each step is audited as
+    it arrives, and the steps audited set the step count.
     """
     if not points:
         raise ValueError("need at least one logical point")
@@ -253,7 +243,6 @@ def _histogram_tv(hist: np.ndarray, ref: np.ndarray) -> Fraction:
 
 @dataclass(frozen=True)
 class SecrecyReport:
-    width: int
     tvs: dict[tuple[Any, int], Fraction]
     max_tv: Fraction
     passed: bool
@@ -277,7 +266,7 @@ def verify_perfect_secrecy(family: Mapping[Any, InvertibleMap]) -> SecrecyReport
     measured by total variation against the first one.  An affine family
     (`Affine`, `XorFamily`) is decided by cosets with no 2^n table; any other
     compares `secrecy_distribution` histograms map by map, at most three held."""
-    width = _family_width(family.values())
+    _family_width(family.values())  # rejects an empty, mixed or one-bit family
     affine = all(isinstance(m, (Affine, XorFamily)) for m in family.values())
     laws = _observable_cosets if affine else secrecy_distribution
     distance = _coset_tv if affine else _histogram_tv
@@ -288,7 +277,7 @@ def verify_perfect_secrecy(family: Mapping[Any, InvertibleMap]) -> SecrecyReport
             ref = law if ref is None else ref
             tvs[state, b] = distance(law, ref)
     max_tv = max(tvs.values())
-    return SecrecyReport(width, tvs, max_tv, max_tv == 0)
+    return SecrecyReport(tvs, max_tv, max_tv == 0)
 
 
 # ---------------------------------------------------------------------------

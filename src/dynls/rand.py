@@ -53,7 +53,6 @@ class SeededSource(BitSource):
 
     def __init__(self, seed: int) -> None:
         super().__init__()
-        self.seed = seed
         self._rnd = random.Random(seed)
 
     def _more_bytes(self) -> bytes:

@@ -20,7 +20,6 @@ from dynls.cli import main
 from dynls.dls_engine import (
     DlsDecomposition,
     derived_xor_family,
-    realize_step,
     sampled_secrecy_report,
     verify_invariance,
     verify_perfect_secrecy,
@@ -93,13 +92,14 @@ def test_criterion_3_level_set_invariance():
     indicator = reference_write_high_indicator()
     points = [BitVec(5, v) for v in range(32)]
     states = tuple(sorted(reference_write_high_set()))
-    dls = DlsDecomposition(
-        family=derived_xor_family(15, states, seed=22),
-        source=SeededSource(22),
-    )
-    # step j realizes point j mod 32 under state j mod 14
+    dls = DlsDecomposition(derived_xor_family(15, states, seed=22))
+    source = SeededSource(22)
+    # step j realizes point j mod 32 under state j mod 14, with the
+    # source's next 14 bits as its random part
     run = (
-        dls.realize(states[j % len(states)], indicator(points[j % len(points)]))
+        dls.realize(
+            states[j % len(states)], source.next_bits(14), indicator(points[j % len(points)])
+        )
         for j in range(10**4)
     )
     report = verify_invariance(dls, indicator, points, run)
@@ -150,13 +150,13 @@ def test_criterion_6_aem_dls_equivalence():
             mask1=random.Random(width + 100).getrandbits(width - 1),
             flip=width & 1,
         )
-        dls = DlsDecomposition(family={"s": fam}, source=SeededSource(0))
+        dls = DlsDecomposition({"s": fam})
         machine = Machine()
         epoch = 0
         for r_value in range(1 << (width - 1)):
             for b in (0, 1):
                 r = BitVec(width - 1, r_value)
-                real = realize_step(dls, "s", r, b)
+                real = dls.realize("s", r, b)
                 machine.apply(compile_step(fam, r, b, base_tick=3 * epoch))
                 machine.run_until(3 * epoch + 2)
                 got = readout_physical(machine.trace, 3 * epoch, width)
@@ -165,13 +165,13 @@ def test_criterion_6_aem_dls_equivalence():
 
     width = 15
     fam = XorFamily(width, mask0=0x1B57, mask1=0x3E02, flip=1)
-    dls = DlsDecomposition(family={"s": fam}, source=SeededSource(0))
+    dls = DlsDecomposition({"s": fam})
     rng = random.Random(25)
     machine = Machine()
     for epoch in range(10**4):
         r = BitVec(width - 1, rng.getrandbits(width - 1))
         b = rng.getrandbits(1)
-        real = realize_step(dls, "s", r, b)
+        real = dls.realize("s", r, b)
         machine.apply(compile_step(fam, r, b, base_tick=3 * epoch))
         machine.run_until(3 * epoch + 2)
         assert readout_physical(machine.trace, 3 * epoch, width) == real.physical

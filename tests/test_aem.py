@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from dynls.aem import (
     BIT_IN,
+    EPOCH_TICKS,
     GO,
     AemLinkError,
     AemProgram,
@@ -39,7 +40,6 @@ from dynls.dls_engine import (
     DlsDecomposition,
     derived_affine_family,
     derived_xor_family,
-    realize_step,
 )
 from dynls.rand import SeededSource
 from dynls.tm import binary_incrementer, endless_counter, instruction_trace
@@ -701,13 +701,13 @@ def test_xor_family_step_matches_engine_width15():
     import random
 
     fam = XorFamily(15, mask0=0x2A53, mask1=0x1C07, flip=1)
-    dls = DlsDecomposition(family={"s": fam}, source=SeededSource(0))
+    dls = DlsDecomposition({"s": fam})
     rng = random.Random(414)
     m = Machine()
     for epoch in range(1000):
         r = BitVec(14, rng.getrandbits(14))
         b = rng.getrandbits(1)
-        real = realize_step(dls, "s", r, b)
+        real = dls.realize("s", r, b)
         m.apply(compile_step(fam, r, b, base_tick=3 * epoch))
         m.run_until(3 * epoch + 2)
         assert readout_physical(m.trace, 3 * epoch, 15) == real.physical
@@ -776,13 +776,18 @@ def run_xorfam(program, pairs, seed, steps):
     return run_utm_realization(program, family, SeededSource(seed), pairs, steps)
 
 
+def observables_of(trace, steps):
+    """Each step's observable part, read back from its epoch's readout tick."""
+    return [readout_physical(trace, 3 * j, 15).value & (1 << 14) - 1 for j in range(steps)]
+
+
 def test_run_utm_incrementer_no_violations():
     program, config = binary_incrementer([1, 0, 1, 1, 1, 1])
     pairs = instruction_trace(program, config, 64)
     trace, report = run_xorfam(program, pairs, seed=7, steps=64)
     assert report.violations == ()
     assert report.effective_steps == len(pairs)
-    assert len(report.observables) == report.effective_steps
+    assert len(trace) == EPOCH_TICKS * report.effective_steps
 
 
 def test_run_utm_stops_at_halt():
@@ -802,18 +807,22 @@ def test_run_utm_seeded_runs_are_identical():
     for _ in range(2):
         pairs = instruction_trace(program, config, 60)
         trace, report = run_xorfam(program, pairs, seed=11, steps=60)
-        results.append((trace_to_jsonl(trace), report.observables))
+        results.append((trace_to_jsonl(trace), report.to_text()))
     assert results[0] == results[1]
 
 
-def test_run_utm_observables_fill_the_range():
+@pytest.mark.parametrize(
+    "derive", [derived_xor_family, derived_affine_family], ids=["xorfam", "affine"]
+)
+def test_run_utm_observables_fill_the_range(derive):
     program, config = endless_counter()
     pairs = instruction_trace(program, config, 300)
-    trace, report = run_xorfam(program, pairs, seed=5, steps=300)
-    distinct = len(set(report.observables))
+    family = derive(15, sorted(set(pairs)), 5)
+    trace, report = run_utm_realization(program, family, SeededSource(5), pairs, 300)
+    # the report counts the observable parts its trace holds
+    assert report.distinct_observables == len(set(observables_of(trace, 300)))
     # 300 uniform draws from 2^14 values collide rarely
-    assert distinct >= 280
-    assert all(0 <= o < 2**14 for o in report.observables)
+    assert report.distinct_observables >= 280
 
 
 @pytest.mark.parametrize("kind", ["perm", "affine"])
@@ -885,7 +894,7 @@ def test_run_utm_pattern_variety_regression():
     pairs = instruction_trace(program, config, 1000)
     trace, report = run_xorfam(program, pairs, seed=2026, steps=1000)
     assert report.violations == ()
-    obs = report.observables
+    obs = observables_of(trace, report.effective_steps)
     assert all(a != b for a, b in zip(obs, obs[1:]))
     assert report.distinct_observables >= 930
     assert report.distinct_observables == 958  # frozen for this seed

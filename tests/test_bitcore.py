@@ -321,8 +321,7 @@ def test_level_sets_partition_the_domain():
     zeros = level_set(f, 0)
     assert len(ones) + len(zeros) == 16
     assert not (ones.members & zeros.members)
-    ind = ones.indicator()
-    assert all(ind(BitVec(4, x)) == f(BitVec(4, x)) for x in range(16))
+    assert all((BitVec(4, x) in ones) == f(BitVec(4, x)) for x in range(16))
 
 
 # ---------------------------------------------------------------------------

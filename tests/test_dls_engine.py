@@ -43,7 +43,6 @@ from dynls.dls_engine import (
     derived_affine_family,
     derived_xor_family,
     gamma_q,
-    realize_step,
     sampled_observable_histogram,
     sampled_secrecy_report,
     secrecy_distribution,
@@ -58,14 +57,13 @@ from write_high import reference_write_high_indicator
 # ---------------------------------------------------------------------------
 
 
-def _tiny_dls(source):
-    fam = {("s", 0): XorFamily(3, mask0=1, mask1=2, flip=1)}
-    return DlsDecomposition(fam, source)
+def _tiny_dls():
+    return DlsDecomposition({("s", 0): XorFamily(3, mask0=1, mask1=2, flip=1)})
 
 
 def test_realize_hand_example():
-    dls = _tiny_dls(ByteSource(b"\x06"))
-    real = dls.realize(("s", 0), 1)
+    dls = _tiny_dls()
+    real = dls.realize(("s", 0), ByteSource(b"\x06").next_bits(2), 1)
     assert real.random_part == BitVec(2, 2)
     assert real.physical == BitVec(3, 0)
     assert real.observable == BitVec(2, 0)
@@ -73,13 +71,13 @@ def test_realize_hand_example():
 
 
 def test_decode_hand_example():
-    dls = _tiny_dls(ByteSource(b"\x06"))
+    dls = _tiny_dls()
     r, b = dls.decode(BitVec(3, 0), ("s", 0))
     assert (r, b) == (BitVec(2, 2), 1)
 
 
 def test_decode_unknown_state():
-    dls = _tiny_dls(ByteSource(b"\x00"))
+    dls = _tiny_dls()
     with pytest.raises(ValueError, match="no physical map for state 'nope'"):
         dls.decode(BitVec(3, 0), "nope")
 
@@ -91,7 +89,7 @@ def test_family_width_mismatch_rejected():
         {0: XorFamily(1, 0, 0, 1)},  # the hidden bit alone: nothing observable
     ):
         with pytest.raises(ValueError):
-            DlsDecomposition(family, ByteSource(b""))
+            DlsDecomposition(family)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 10))
@@ -99,42 +97,41 @@ def test_family_width_mismatch_rejected():
 def test_realize_decode_roundtrip(seed, width):
     states = list(range(5))
     fam = derived_xor_family(width, states, seed)
-    dls = DlsDecomposition(fam, SeededSource(seed))
+    dls, source = DlsDecomposition(fam), SeededSource(seed)
     assert dls.width == width  # taken from the maps
     for j in range(20):
         bit = (seed >> (j % 31)) & 1
-        real = dls.realize(states[j % len(states)], bit)
+        real = dls.realize(states[j % len(states)], source.next_bits(width - 1), bit)
         assert real.observable.width == width - 1
         assert dls.decode(real.physical, real.state) == (real.random_part, bit)
 
 
-def test_realize_step_identity_family_sets_top_coordinate():
-    dls = DlsDecomposition({0: Affine.identity(5)}, ByteSource(b""))
-    real = realize_step(dls, 0, BitVec(4, 0), 1)
+def test_realize_identity_family_sets_top_coordinate():
+    real = DlsDecomposition({0: Affine.identity(5)}).realize(0, BitVec(4, 0), 1)
     assert real.physical == BitVec(5, 0b10000)
     assert real.observable == BitVec(4, 0)
 
 
-def test_realize_step_xorfam_width4_oracle():
+def test_realize_xorfam_width4_oracle():
     # masks 101/011 with flip 1, r=101, b=0: low bits cancel, top bit flips
-    dls = DlsDecomposition({0: XorFamily(4, 0b101, 0b011, 1)}, ByteSource(b""))
-    real = realize_step(dls, 0, BitVec(3, 0b101), 0)
+    dls = DlsDecomposition({0: XorFamily(4, 0b101, 0b011, 1)})
+    real = dls.realize(0, BitVec(3, 0b101), 0)
     assert real.physical == BitVec(4, 0b1000)
 
 
 def test_identity_decode_is_split():
-    dls = DlsDecomposition({0: Affine.identity(6)}, ByteSource(b""))
+    dls = DlsDecomposition({0: Affine.identity(6)})
     for y in range(64):
         assert dls.decode(BitVec(6, y), 0) == (BitVec(5, y & 31), y >> 5)
 
 
 def test_affine_decode_roundtrip_exhaustive_n6():
     fam = derived_affine_family(6, list(range(3)), seed=12)
-    dls = DlsDecomposition(fam, SeededSource(0))
+    dls = DlsDecomposition(fam)
     for s in range(3):
         for r in range(32):
             for b in (0, 1):
-                real = realize_step(dls, s, BitVec(5, r), b)
+                real = dls.realize(s, BitVec(5, r), b)
                 assert dls.decode(real.physical, s) == (BitVec(5, r), b)
 
 
@@ -143,26 +140,26 @@ def test_wrong_state_decode_flips_bit_when_flips_differ():
         "a": XorFamily(4, 0b001, 0b110, 0),
         "b": XorFamily(4, 0b011, 0b100, 1),
     }
-    dls = DlsDecomposition(fam, ByteSource(b""))
+    dls = DlsDecomposition(fam)
     for r in range(8):
         for b in (0, 1):
-            real = realize_step(dls, "a", BitVec(3, r), b)
+            real = dls.realize("a", BitVec(3, r), b)
             _, wrong = dls.decode(real.physical, "b")
             assert wrong != b  # differing flip always lands on the wrong side
 
 
 def test_decode_width_checked():
-    dls = _tiny_dls(ByteSource(b""))
+    dls = _tiny_dls()
     with pytest.raises(ValueError):
         dls.decode(BitVec(4, 0), ("s", 0))
 
 
-def test_realize_step_width_checked():
-    dls = _tiny_dls(ByteSource(b""))
+def test_realize_width_checked():
+    dls = _tiny_dls()
     with pytest.raises(ValueError):
-        realize_step(dls, ("s", 0), BitVec(3, 0), 0)
+        dls.realize(("s", 0), BitVec(3, 0), 0)
     with pytest.raises(ValueError):
-        realize_step(dls, ("s", 0), BitVec(2, 0), 2)
+        dls.realize(("s", 0), BitVec(2, 0), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,34 +167,35 @@ def test_realize_step_width_checked():
 # ---------------------------------------------------------------------------
 
 
-def _fixture_dls(width, seed, source):
+def _fixture_dls(width, seed):
     points = [BitVec(5, x) for x in range(32)]
     fam = derived_xor_family(width, [p.value for p in points], seed)
-    return DlsDecomposition(fam, source), points
+    return DlsDecomposition(fam), points
 
 
-def _fresh_run(dls, f, points, steps):
-    """Step j realizes point j mod 32 under the state keyed by its value."""
+def _fresh_run(dls, f, points, steps, source):
+    """Step j realizes point j mod 32 under the state keyed by its value,
+    with the source's next width-1 bits as its random part."""
     for j in range(steps):
         point = points[j % len(points)]
-        yield dls.realize(point.value, f(point))
+        yield dls.realize(point.value, source.next_bits(dls.width - 1), f(point))
 
 
 def test_invariance_clean_run():
     f = reference_write_high_indicator()
-    dls, points = _fixture_dls(15, 7, SeededSource(7))
-    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 500))
+    dls, points = _fixture_dls(15, 7)
+    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 500, SeededSource(7)))
     assert report.ok
     assert report.steps == 500
     assert report.violations == ()
     with pytest.raises(ValueError, match="need at least one logical point"):
-        verify_invariance(dls, f, [], _fresh_run(dls, f, points, 500))
+        verify_invariance(dls, f, [], _fresh_run(dls, f, points, 500, SeededSource(7)))
 
 
 def test_invariance_catches_injected_fault():
     f = reference_write_high_indicator()
-    dls, points = _fixture_dls(15, 7, SeededSource(7))
-    reals = list(_fresh_run(dls, f, points, 64))
+    dls, points = _fixture_dls(15, 7)
+    reals = list(_fresh_run(dls, f, points, 64, SeededSource(7)))
     # re-encode step 7 with the logical bit flipped; the physical state now
     # decodes to the wrong side of the level set
     bad = reals[7]
@@ -226,8 +224,8 @@ def test_invariance_catches_observable_tampering():
     # flipping an observable physical bit leaves the decoded membership bit
     # intact but is still flagged, via the recovered random part
     f = reference_write_high_indicator()
-    dls, points = _fixture_dls(15, 7, SeededSource(7))
-    reals = list(_fresh_run(dls, f, points, 40))
+    dls, points = _fixture_dls(15, 7)
+    reals = list(_fresh_run(dls, f, points, 40, SeededSource(7)))
     victim = reals[11]
     reals[11] = Realization(
         victim.state, victim.random_part, victim.logical_bit,
@@ -249,13 +247,13 @@ class _KeepsTheBitLosesTheRandomPart(XorFamily):
 
 def test_generated_run_audits_the_random_part():
     f = reference_write_high_indicator()
-    dls, points = _fixture_dls(8, 3, SeededSource(3))
+    dls, points = _fixture_dls(8, 3)
     fam = {
         state: _KeepsTheBitLosesTheRandomPart(m.width, m.mask0, m.mask1, m.flip)
         for state, m in dls.family.items()
     }
-    dls = DlsDecomposition(fam, dls.source)
-    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 40))
+    dls = DlsDecomposition(fam)
+    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 40, SeededSource(3)))
     assert [v.step for v in report.violations] == list(range(40))
     assert all(v.kind == "random_part" for v in report.violations)
     assert all(v.decoded_bit == v.expected_bit for v in report.violations)
@@ -265,7 +263,7 @@ def test_supplied_run_is_audited_as_it_arrives(monkeypatch):
     # the audit holds no list of the run: step j is decoded before step
     # j + 1 is produced
     f = reference_write_high_indicator()
-    dls, points = _fixture_dls(8, 3, SeededSource(3))
+    dls, points = _fixture_dls(8, 3)
     decoded = []
     decode = dls.decode
 
@@ -276,7 +274,7 @@ def test_supplied_run_is_audited_as_it_arrives(monkeypatch):
     monkeypatch.setattr(dls, "decode", counted)
 
     def run():
-        for j, real in enumerate(_fresh_run(dls, f, points, 20)):
+        for j, real in enumerate(_fresh_run(dls, f, points, 20, SeededSource(3))):
             assert len(decoded) == j
             yield real
 
@@ -287,15 +285,16 @@ def test_supplied_run_is_audited_as_it_arrives(monkeypatch):
 
 def test_constant_zero_function_always_decodes_zero():
     f = BoolFn(5, (0,) * 32)
-    dls, points = _fixture_dls(10, 5, SeededSource(5))
-    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 200))
+    dls, points = _fixture_dls(10, 5)
+    report = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 200, SeededSource(5)))
     assert report.ok
 
 
 def test_invariance_report_text():
     f = reference_write_high_indicator()
-    dls, points = _fixture_dls(8, 3, SeededSource(3))
-    text = verify_invariance(dls, f, points, _fresh_run(dls, f, points, 32)).to_text()
+    dls, points = _fixture_dls(8, 3)
+    run = _fresh_run(dls, f, points, 32, SeededSource(3))
+    text = verify_invariance(dls, f, points, run).to_text()
     assert "steps=32" in text and "violations=0" in text
 
 

@@ -24,6 +24,5 @@ def reference_write_high_set() -> frozenset[tuple[int, int]]:
 
 def reference_write_high_indicator() -> BoolFn:
     """Indicator of the fixture set on the packed 5-bit domain."""
-    return BoolFn.from_members(
-        5, [instruction_index(q, a) for q, a in _WRITE_HIGH_PAIRS]
-    )
+    hot = {instruction_index(q, a) for q, a in _WRITE_HIGH_PAIRS}
+    return BoolFn(5, tuple(int(x in hot) for x in range(32)))
