@@ -73,10 +73,13 @@ class Connection:
     target: str
     amplitude: int
     delay: int
+    # the edge's (source, target) key, built once: compiled steps re-land shared objects
+    _edge: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delay < 1:
             raise ValueError(f"delay must be >= 1, got {self.delay}")
+        object.__setattr__(self, "_edge", (self.source, self.target))
 
 
 @dataclass(frozen=True)
@@ -99,29 +102,21 @@ class MetaCmd:
     """A payload of rule rewrites applied one tick after `trigger` fires.
 
     Installing a meta command for a (kind, trigger) pair the machine
-    already holds replaces that payload wholesale.  `net` is this payload's
-    own net effect, merged with no other payload: each rule keyed by its
-    element name or its (source, target) edge, a later rule in the payload
-    replacing an earlier one with its key.
+    already holds replaces that payload wholesale.
     """
 
     kind: MetaKind
     trigger: str
     payload: tuple[Rule, ...]
-    net: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        edges = self.kind is MetaKind.CONNECTIONS
-        want = Connection if edges else Element
-        payload = self.payload
-        stray = next((cmd for cmd in payload if not isinstance(cmd, want)), None)
+        want = Connection if self.kind is MetaKind.CONNECTIONS else Element
+        stray = next((cmd for cmd in self.payload if not isinstance(cmd, want)), None)
         if stray is not None:
             raise ValueError(
                 f"{self.kind.value} payload may only hold "
                 f"{want.__name__} entries, got {type(stray).__name__}"
             )
-        net = {(c.source, c.target): c for c in payload} if edges else {c.name: c for c in payload}
-        object.__setattr__(self, "net", net)
 
 
 Command = Union[Element, Connection, FireCmd, MetaCmd]
@@ -162,7 +157,7 @@ def _command(tokens: list) -> Command:
     cls = _COMMANDS.get(tokens[0])
     if cls is None:
         raise ValueError(f"unknown command {tokens[0]!r}")
-    names = [f.name for f in fields(cls)]
+    names = [f.name for f in fields(cls) if f.init]
     if len(tokens) != 1 + len(names):
         usage = " ".join([tokens[0], *(f"<{n}>" for n in names)])
         raise ValueError(f"expected: {usage}")
@@ -215,7 +210,7 @@ def _print_cmd(cmd: Command) -> str:
     if isinstance(cmd, MetaCmd):
         inner = "".join("  " + _print_cmd(c) for c in cmd.payload)
         return f"{cmd.kind.value} {cmd.trigger} {{\n{inner}}}\n"
-    values = (getattr(cmd, f.name) for f in fields(cmd))
+    values = (getattr(cmd, f.name) for f in fields(cmd) if f.init)
     words = (str(v.value if isinstance(v, ElementKind) else v) for v in values)
     return " ".join([_LETTERS[type(cmd)], *words]) + "\n"
 
@@ -239,13 +234,13 @@ class Machine:
     arrival tick, not the one in place when they were emitted.
 
     The payloads due on one tick land one by one in trigger order (the
-    order of `metas`), each as its own net effect: a later payload's write
-    to an edge or element wins, and a connection payload landing before the
-    element payload that declares its endpoint raises `AemLinkError`.
-    Re-installing a connection object already in place, or deleting an
-    edge that is absent (whatever its endpoints), is skipped after one
-    lookup, and re-declaring an element object rewrites its entry
-    unchanged.
+    order of `metas`), and each payload's lines land in order, as `apply`
+    of them would: a later write to an edge or element wins, and a
+    connection landing before the element payload that declares its
+    endpoint raises `AemLinkError`.  Re-installing a connection object
+    already in place, or deleting an edge that is absent (whatever its
+    endpoints), is skipped after one lookup, and re-declaring an element
+    object rewrites its entry unchanged.
 
     Pulses are found event by event: for each delay d some connection
     uses, the elements that fired at t-d (read from `trace`) send pulses
@@ -289,7 +284,7 @@ class Machine:
                     )
                 (forced.get(cmd.tick) or forced.setdefault(cmd.tick, set())).add(cmd.name)
             elif kind is Connection:
-                self._land({(cmd.source, cmd.target): cmd})
+                self._land((cmd,))
             elif kind is MetaCmd:
                 self._require(cmd.trigger, "meta trigger")
                 self.metas[(cmd.kind, cmd.trigger)] = cmd
@@ -300,10 +295,11 @@ class Machine:
         if name not in self.elements:
             raise AemLinkError(f"{role} {name!r} is not an element of this machine")
 
-    def _land(self, net: dict) -> None:
-        """Install each (source, target) -> connection entry of `net`."""
+    def _land(self, payload: Iterable[Connection]) -> None:
+        """Install each connection of `payload`, in order."""
         connections, elements, out = self.connections, self.elements, self._out
-        for key, c in net.items():
+        for c in payload:
+            key = c._edge
             old = connections.get(key)
             if old is c or old is None and not c.amplitude:
                 continue
@@ -337,9 +333,10 @@ class Machine:
             pending, self._pending = self._pending, []
             for meta in pending:
                 if meta.kind is MetaKind.CONNECTIONS:
-                    self._land(meta.net)
+                    self._land(meta.payload)
                 else:
-                    self.elements.update(meta.net)
+                    for elem in meta.payload:
+                        self.elements[elem.name] = elem
 
         fired = self._forced.pop(t, None) or set()
         sums: dict[str, int] = {}

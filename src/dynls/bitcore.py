@@ -64,9 +64,6 @@ class BitVec:
             value |= b << i
         return cls(len(seq), value)
 
-    def __index__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         # most-significant coordinate first, the usual written order
         return format(self.value, f"0{self.width}b")
@@ -353,9 +350,9 @@ def swap_coordinates(width: int, i: int, j: int) -> PermTable:
     return permute_coordinates(width, source_of)
 
 
-def is_bijection(table: Sequence[int | BitVec]) -> bool:
+def is_bijection(table: Sequence[int]) -> bool:
     """True iff the entries are a permutation of range(len(table))."""
-    return {int(v) for v in table} == set(range(len(table)))
+    return set(table) == set(range(len(table)))
 
 
 def random_affine_invertible(width: int, seed: int) -> Affine:

@@ -305,6 +305,27 @@ def test_meta_payload_endpoint_checked_when_it_lands():
         m.step()
 
 
+def test_meta_payload_lands_line_by_line_as_apply_does():
+    # the second line deletes the edge the first installs; landed in order,
+    # the first already names a missing element, at the tick it lands
+    lines = "C a ghost 1 1\nC a ghost 0 1\n"
+    with pytest.raises(AemLinkError, match="ghost"):
+        machine_of("E a 1 0 random\n" + lines)
+    m = machine_of("E a 1 0 random\nMC a {\n" + lines + "}\nF a 0\n")
+    assert m.step() == ("a",)
+    with pytest.raises(AemLinkError, match="connection target 'ghost'"):
+        m.step()
+
+
+def test_later_payload_line_for_an_edge_wins():
+    m = machine_of(
+        "E a 1 0 random\nE b 1 0 plain\nMC a {\n  C a b 1 1\n  C a b 2 3\n  C a b 5 1\n}\nF a 0\n"
+    )
+    m.run_until(1)
+    assert m.connections == {("a", "b"): Connection("a", "b", 5, 1)}
+    assert m._out == {1: {"a": {"b": 5}}}
+
+
 @pytest.mark.parametrize("first, lands", [("MC", False), ("ME", True)])
 def test_landing_order_decides_a_payload_endpoint(first, lands):
     # both metas fire together, and their payloads land in the order the
