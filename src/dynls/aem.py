@@ -389,32 +389,29 @@ BIT_OUT = "bit_out"
 EPOCH_TICKS = 3
 
 
-class _Wires(NamedTuple):
-    """The connections into one output element: from the strobe
-    (off/on) and from its input element (cut/copy/veto).  Coordinate
-    width-1 pairs the bit-input element with the bit-output element."""
-
-    off: Connection
-    on: Connection
-    cut: Connection
-    copy: Connection
-    veto: Connection
-
-
 class _StepParts(NamedTuple):
     inputs: tuple[str, ...]  # r0.., the random-part inputs, then BIT_IN
     readout: dict[str, int]  # d0.., their outputs, then BIT_OUT: name -> 1 << coordinate
     elements: tuple[Element, ...]
     rearm: MetaCmd
-    wires: tuple[_Wires, ...]
+    masked: tuple  # the per-byte payload tables of a mask-pair step
+    driven: tuple  # and of an output-driven step
 
 
 @lru_cache(maxsize=None)
 def _step_parts(width: int) -> _StepParts:
-    """The names and commands every step of this width shares, built once.
+    """The names, commands and payload tables every step of this width
+    shares, built once.
 
-    They are frozen dataclasses in tuples, so every program may hold the
-    same objects.
+    One rule wires every step.  Output coordinate i takes, by its bit, an
+    edge from the strobe (on where set, off where clear) and then an edge
+    from input i: in a mask-pair step the input vetoes the output where
+    the bit is set and copies it where clear; in an output-driven step it
+    is cut either way.  Coordinate width-1 pairs the bit-input element
+    with the bit-output element.  Entry v of table k is the payload of
+    coordinates 8k..8k+7 under bits v, and `_join` builds a step's payload
+    from one entry per byte.  Everything is frozen dataclasses in tuples,
+    so every program may hold the same objects.
     """
 
     def element(name: str, kind: ElementKind) -> Element:
@@ -435,53 +432,47 @@ def _step_parts(width: int) -> _StepParts:
     )
     inputs = (*randoms, BIT_IN)
     readout = {name: 1 << i for i, name in enumerate((*outputs, BIT_OUT))}
-    wires = tuple(
-        _Wires(
-            wire(GO, dn, 0), wire(GO, dn, 1), wire(rn, dn, 0), wire(rn, dn, 1), wire(rn, dn, -1)
+
+    def rules(source: str, target: str) -> tuple:
+        """The coordinate's (strobe, input) edges for bit 0 and bit 1, in a
+        mask-pair step and in an output-driven step."""
+        off, on = wire(GO, target, 0), wire(GO, target, 1)
+        cut, copy, veto = (wire(source, target, a) for a in (0, 1, -1))
+        return ((off, copy), (on, veto)), ((off, cut), (on, cut))
+
+    masked, driven = zip(*map(rules, inputs, readout))
+
+    def tables(rule: tuple) -> tuple:
+        return tuple(
+            tuple(
+                tuple(edge for i, edges in enumerate(chunk) for edge in edges[v >> i & 1])
+                for v in range(1 << len(chunk))
+            )
+            for chunk in (rule[lo : lo + 8] for lo in range(0, width, 8))
         )
-        for rn, dn in zip(inputs, readout)
-    )
+
     rearm = MetaCmd(MetaKind.ELEMENTS, GO, bank)
-    return _StepParts(inputs, readout, elements, rearm, wires)
+    return _StepParts(inputs, readout, elements, rearm, tables(masked), tables(driven))
+
+
+def _join(tables: tuple, bits: int) -> tuple[Connection, ...]:
+    """The payload wiring `bits`: one table entry per byte, low byte first."""
+    payload = ()
+    for table in tables:
+        payload += table[bits & 0xFF]
+        bits >>= 8
+    return payload
 
 
 # bounded, since a caller may compile steps for any number of mask pairs
 @lru_cache(maxsize=256)
 def _mask_metas(width: int, mask0: int, mask1: int, flip: int) -> tuple[MetaCmd, MetaCmd]:
-    """The strobe's and the bit input's payloads computing x XOR mask_b.
-
-    Where a bit of mask_b (or of `flip`, for the logical-bit path) is set,
-    the strobe excites the output and the input element vetoes it (NOT);
-    where clear, the input alone drives it (copy).
-    """
-    wires = _step_parts(width).wires
-    top = flip << (width - 1)
-
-    def wiring(mask: int) -> tuple:
-        return tuple(
-            cmd
-            for i, w in enumerate(wires)
-            for cmd in ((w.on, w.veto) if (mask >> i) & 1 else (w.off, w.copy))
-        )
-
+    """The strobe's and the bit input's payloads computing x XOR mask_b,
+    each wired from the bits of mask_b, with `flip` as the top bit."""
+    tables, top = _step_parts(width).masked, flip << (width - 1)
     return (
-        MetaCmd(MetaKind.CONNECTIONS, GO, wiring(mask0 | top)),
-        MetaCmd(MetaKind.CONNECTIONS, BIT_IN, wiring(mask1 | top)),
-    )
-
-
-@lru_cache(maxsize=None)
-def _value_payloads(width: int) -> tuple[tuple[tuple[Connection, ...], ...], ...]:
-    """Entry v of table k: the output-driven payload of coordinates 8k..,
-    value v on them, each coordinate's strobe edge on where its bit is set
-    and off where clear, then its input edge cut."""
-    wires = _step_parts(width).wires
-    return tuple(
-        tuple(
-            tuple(c for i, w in enumerate(chunk) for c in (w.on if v >> i & 1 else w.off, w.cut))
-            for v in range(1 << len(chunk))
-        )
-        for chunk in (wires[lo : lo + 8] for lo in range(0, width, 8))
+        MetaCmd(MetaKind.CONNECTIONS, GO, _join(tables, mask0 | top)),
+        MetaCmd(MetaKind.CONNECTIONS, BIT_IN, _join(tables, mask1 | top)),
     )
 
 
@@ -505,11 +496,12 @@ def compile_step(
     fires only when the logical bit is 1, and its payload, applied after
     the strobe's, overrides the wiring with the bit-1 variant.
 
-    Maps with no special structure are wired from their output: the strobe
-    drives each set coordinate directly and every input-to-output edge is
-    deleted.  Only the fires and that output-driven payload, joined from
-    shared fragments one per value byte, are built per call; the rest is
-    shared by every step of the same width and map.
+    Both kinds of step join their payloads from the same per-byte tables
+    of `_step_parts`.  A mask-pair map (`XorFamily`) is wired from the bits
+    of mask_b, so the inputs that fire compute x XOR mask_b; its payloads
+    are cached per mask pair.  Any other map is wired from its output: the
+    strobe drives each set coordinate and every input-to-output edge is
+    cut.  Only the fires and that output-driven payload are built per call.
     """
     width = family_map.width
     k = width - 1
@@ -524,10 +516,7 @@ def compile_step(
     if isinstance(family_map, XorFamily):
         metas = _mask_metas(width, family_map.mask0, family_map.mask1, family_map.flip)
     else:
-        value, payload = family_map.apply_int(x), ()
-        for table in _value_payloads(width):
-            payload += table[value & 0xFF]
-            value >>= 8
+        payload = _join(parts.driven, family_map.apply_int(x))
         metas = (MetaCmd(MetaKind.CONNECTIONS, GO, payload), _NO_OVERRIDE)
     return AemProgram((*parts.elements, FireCmd(GO, base_tick), *fires, *metas, parts.rearm))
 

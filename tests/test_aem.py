@@ -748,29 +748,46 @@ def test_affine_step_matches_direct_apply():
             epoch += 1
 
 
-@given(st.integers(2, 17), st.data())
+@given(st.integers(2, 17), st.booleans(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_affine_payload_matches_the_per_coordinate_rule(width, data):
-    # the output-driven payload, joined from per-byte fragments, equals the
-    # one built coordinate by coordinate: strobe edge on or off, input cut
+def test_affine_payload_matches_the_per_coordinate_rule(width, masked, data):
+    # every compiled payload, joined from per-byte tables, equals the one
+    # built coordinate by coordinate from literal edges: the strobe edge on
+    # where the coordinate's bit is set and off where clear, then the input
+    # edge: veto where set and copy where clear for a mask-pair map, cut for
+    # a map wired from its output
     k = width - 1
-    m = random_affine_invertible(width, data.draw(st.integers(0, 2**32 - 1)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
     r = BitVec(k, data.draw(st.integers(0, (1 << k) - 1)))
     bit = data.draw(st.integers(0, 1))
     base = 3 * data.draw(st.integers(0, 50))
-    parts = _step_parts(width)
+    inputs = [f"r{i}" for i in range(k)] + ["bit_in"]
+    outputs = [f"d{i}" for i in range(k)] + ["bit_out"]
+
+    def meta(trigger, bits, input_amplitude):
+        edges = []
+        for i, (source, target) in enumerate(zip(inputs, outputs)):
+            b = bits >> i & 1
+            edges.append(Connection("go", target, b, 2))
+            edges.append(Connection(source, target, input_amplitude[b], 2))
+        return MetaCmd(MetaKind.CONNECTIONS, trigger, tuple(edges))
+
     x = r.value | bit << k
-    value = m.apply_int(x)
-    payload = []
-    for i, w in enumerate(parts.wires):
-        payload += [w.on if value >> i & 1 else w.off, w.cut]
-    fires = [FireCmd(name, base) for i, name in enumerate(parts.inputs) if x >> i & 1]
+    if masked:
+        rng = random.Random(seed)
+        m = XorFamily(width, rng.getrandbits(k), rng.getrandbits(k), rng.getrandbits(1))
+        top = m.flip << k
+        metas = (meta("go", m.mask0 | top, (1, -1)), meta("bit_in", m.mask1 | top, (1, -1)))
+    else:
+        m = random_affine_invertible(width, seed)
+        metas = (meta("go", m.apply_int(x), (0, 0)), MetaCmd(MetaKind.CONNECTIONS, "bit_in", ()))
+    fires = [FireCmd(name, base) for i, name in enumerate(inputs) if x >> i & 1]
+    parts = _step_parts(width)
     assert compile_step(m, r, bit, base).commands == (
         *parts.elements,
-        FireCmd(GO, base),
+        FireCmd("go", base),
         *fires,
-        MetaCmd(MetaKind.CONNECTIONS, GO, tuple(payload)),
-        MetaCmd(MetaKind.CONNECTIONS, BIT_IN, ()),
+        *metas,
         parts.rearm,
     )
 
