@@ -393,7 +393,6 @@ class _StepParts(NamedTuple):
     inputs: tuple[str, ...]  # r0.., the random-part inputs, then BIT_IN
     readout: dict[str, int]  # d0.., their outputs, then BIT_OUT: name -> 1 << coordinate
     elements: tuple[Element, ...]
-    rearm: MetaCmd
     masked: tuple  # the per-byte payload tables of a mask-pair step
     driven: tuple  # and of an output-driven step
 
@@ -422,13 +421,12 @@ def _step_parts(width: int) -> _StepParts:
 
     randoms = tuple(f"r{i}" for i in range(width - 1))
     outputs = tuple(f"d{i}" for i in range(width - 1))
-    bank = tuple(element(n, ElementKind.COMPUTING) for n in (*outputs, BIT_OUT))
     elements = (
         element(GO, ElementKind.RANDOM),
         element(BIT_IN, ElementKind.RANDOM),
-        bank[-1],
+        element(BIT_OUT, ElementKind.COMPUTING),
         *(element(n, ElementKind.RANDOM) for n in randoms),
-        *bank[:-1],
+        *(element(n, ElementKind.COMPUTING) for n in outputs),
     )
     inputs = (*randoms, BIT_IN)
     readout = {name: 1 << i for i, name in enumerate((*outputs, BIT_OUT))}
@@ -451,8 +449,7 @@ def _step_parts(width: int) -> _StepParts:
             for chunk in (rule[lo : lo + 8] for lo in range(0, width, 8))
         )
 
-    rearm = MetaCmd(MetaKind.ELEMENTS, GO, bank)
-    return _StepParts(inputs, readout, elements, rearm, tables(masked), tables(driven))
+    return _StepParts(inputs, readout, elements, tables(masked), tables(driven))
 
 
 def _join(tables: tuple, bits: int) -> tuple[Connection, ...]:
@@ -518,7 +515,7 @@ def compile_step(
     else:
         payload = _join(parts.driven, family_map.apply_int(x))
         metas = (MetaCmd(MetaKind.CONNECTIONS, GO, payload), _NO_OVERRIDE)
-    return AemProgram((*parts.elements, FireCmd(GO, base_tick), *fires, *metas, parts.rearm))
+    return AemProgram((*parts.elements, FireCmd(GO, base_tick), *fires, *metas))
 
 
 def readout_physical(trace: FiringTrace, base_tick: int, width: int) -> BitVec:

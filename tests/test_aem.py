@@ -788,7 +788,6 @@ def test_affine_payload_matches_the_per_coordinate_rule(width, masked, data):
         FireCmd("go", base),
         *fires,
         *metas,
-        parts.rearm,
     )
 
 
