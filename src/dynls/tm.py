@@ -179,15 +179,13 @@ def endless_counter() -> tuple[TmProgram, TmConfig]:
     return program, TmConfig({}, 0, 0)
 
 
-def machine_to_text(program: TmProgram, config: TmConfig | None = None) -> str:
+def machine_to_text(program: TmProgram, config: TmConfig) -> str:
+    if config.tape and min(config.tape) < 0:
+        raise ValueError("only tapes on nonnegative cells serialize")
+    top = max(config.tape) if config.tape else -1
+    codes = ",".join(str(config.tape.get(i, 0)) for i in range(top + 1))
     lines = [f"states={program.num_states}", f"alphabet={program.num_symbols}"]
-    if config is not None:
-        lines.append(f"start={config.state}")
-        if config.tape and min(config.tape) < 0:
-            raise ValueError("only tapes on nonnegative cells serialize")
-        top = max(config.tape) if config.tape else -1
-        codes = ",".join(str(config.tape.get(i, 0)) for i in range(top + 1))
-        lines.append(f"tape={codes}@{config.head}")
+    lines += [f"start={config.state}", f"tape={codes}@{config.head}"]
     for (q, a), (q2, a2, mv) in sorted(program.transitions.items()):
         lines.append(f"{q} {a} -> {q2} {a2} {mv}")
     return "\n".join(lines) + "\n"

@@ -879,6 +879,21 @@ def test_run_utm_audits_readouts_through_each_inverse(kind):
     assert report.effective_steps == len(pairs) == 200
 
 
+def test_run_utm_over_a_family_that_mixes_kinds():
+    # mask-pair and output-driven steps alternate on one machine: each must
+    # leave no wiring behind that the next step's payloads do not rewrite
+    program, config = endless_counter()
+    pairs = instruction_trace(program, config, 2000)
+    states = sorted(set(pairs))
+    xor = derived_xor_family(15, states, 5)
+    affine = derived_affine_family(15, states, 7)
+    family = {s: (xor if i % 2 else affine)[s] for i, s in enumerate(states)}
+    assert {type(m) for m in family.values()} == {XorFamily, Affine}
+    _, report = run_utm_realization(program, family, SeededSource(3), pairs, steps=2000)
+    assert report.effective_steps == 2000
+    assert report.violations == ()
+
+
 def test_run_utm_of_an_empty_schedule_is_an_empty_run():
     # a machine that halts at once has no state to key a map on: the
     # family may be empty, as no DlsDecomposition is built for no step
