@@ -432,8 +432,7 @@ def _step_parts(width: int) -> _StepParts:
     readout = {name: 1 << i for i, name in enumerate((*outputs, BIT_OUT))}
 
     def rules(source: str, target: str) -> tuple:
-        """The coordinate's (strobe, input) edges for bit 0 and bit 1, in a
-        mask-pair step and in an output-driven step."""
+        # the (strobe, input) edges for bit 0 and bit 1: mask-pair, output-driven
         off, on = wire(GO, target, 0), wire(GO, target, 1)
         cut, copy, veto = (wire(source, target, a) for a in (0, 1, -1))
         return ((off, copy), (on, veto)), ((off, cut), (on, cut))
