@@ -14,9 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynls.aem import (
-    BIT_IN,
     EPOCH_TICKS,
-    GO,
     AemLinkError,
     AemProgram,
     AemSyntaxError,
