@@ -122,6 +122,13 @@ SECRECY = {
     "sampled-w24-affine": (["--dls", "affine:5", "--width", "24", "--states", "1",
                             "--sample", "10000", "--rng", "seeded:3"], 1,
                            "8d6adbebf9f12d4b27ea4e952faded516ef37aac393aca83df267adc5c3fba51"),
+    # the sampled call of perfbench's `tables` workload: 10^5 samples, one state
+    "sampled-w24-xorfam-1e5": (["--dls", "xorfam:5", "--width", "24", "--states", "1",
+                                "--sample", "100000", "--rng", "seeded:3"], 0,
+                               "3fc432da9ba799be1197efcd89dd7f75e26e5108ad23ee52939248865ce2f120"),
+    "sampled-w24-affine-1e5": (["--dls", "affine:5", "--width", "24", "--states", "1",
+                                "--sample", "100000", "--rng", "seeded:3"], 1,
+                               "47ab3b45e9618d87c6b82c4cae871ef1258deec4e4baa29a63a46f07bae82026"),
 }
 
 
