@@ -298,7 +298,11 @@ def sampled_observable_histogram(
     map's table, built once, gives each chunk's cells.  Cells are counted
     in a dense histogram when there are no more of them than samples, by
     sorting otherwise, so an affine map's time follows the sample count and
-    its memory min(samples, 2^(width-1)).
+    its memory min(samples, 2^(width-1)).  The sparse branch holds the
+    observables in one uint32 array (widths stop at 24), sorts it in place
+    and counts each run of equal values; each chunk is masked in place too,
+    so few arrays of the sample's size are freed for the next call to fault
+    in again.
     """
     import numpy as np
     if b not in (0, 1):
@@ -307,21 +311,29 @@ def sampled_observable_histogram(
         raise ValueError(f"samples must be >= 1, got {samples}")
     half = 1 << (m.width - 1)
     rng = np.random.default_rng(seed)
-    chunks = (  # one stream: a one-shot draw's samples
-        rng.integers(0, half, size=min(SAMPLE_CHUNK, samples - done), dtype=np.int64)
-        | (b << (m.width - 1))
-        for done in range(0, samples, SAMPLE_CHUNK)
-    )
     affine = isinstance(m, (Affine, XorFamily))  # as `verify_perfect_secrecy` tests
     apply = m.apply_points if affine and half > SAMPLE_CHUNK else m.to_table_array().__getitem__
-    observed = (apply(points) & (half - 1) for points in chunks)
-    if half > max(SAMPLE_CHUNK, samples):
-        return np.unique(np.concatenate(list(observed)), return_counts=True)
-    hist = np.zeros(half, dtype=np.int64)
-    for obs in observed:
-        hist += np.bincount(obs, minlength=half)
-    cells = np.flatnonzero(hist)
-    return cells, hist[cells]
+    sparse = half > max(SAMPLE_CHUNK, samples)
+    # the sparse branch gathers every observable, the dense one counts them
+    tally = np.empty(samples, dtype=np.uint32) if sparse else np.zeros(half, dtype=np.int64)
+    for done in range(0, samples, SAMPLE_CHUNK):  # one stream: a one-shot draw's samples
+        cells = rng.integers(0, half, size=min(SAMPLE_CHUNK, samples - done), dtype=np.int64)
+        cells |= b << (m.width - 1)
+        cells = apply(cells)
+        cells &= half - 1
+        if sparse:
+            tally[done : done + len(cells)] = cells
+        else:
+            tally += np.bincount(cells, minlength=half)
+    if not sparse:
+        cells = np.flatnonzero(tally)
+        return cells, tally[cells]
+    del cells  # free the last chunk before the sort and the counting
+    tally.sort()
+    new = np.ones(samples + 1, dtype=bool)  # a cell starts where the value changes
+    np.not_equal(tally[1:], tally[:-1], out=new[1:-1])
+    starts = np.flatnonzero(new)  # and its count runs to the next start
+    return tally[starts[:-1]], np.diff(starts)
 
 
 # Taylor coefficients in eta of Temme's C_0(eta) .. C_4(eta), twelve a row
