@@ -308,21 +308,21 @@ def _affine_table(m: InvertibleMap) -> np.ndarray:
     return _xor_span(*_affine_columns(m))
 
 
-POINT_BLOCK = 1 << 13  # points `_affine_points` takes at a time: 64 KiB of int64
+_POINT_BLOCK = 1 << 13  # points `_affine_points` takes at a time: 64 KiB of int64
 
 
 def _affine_points(m: InvertibleMap, x: np.ndarray) -> np.ndarray:
     """A map affine over GF(2) applied to an array of points, its columns
     looked up eight coordinates at a time, so the cost follows len(x).
-    The points go through in blocks of ``POINT_BLOCK``: each block's
+    The points go through in blocks of ``_POINT_BLOCK``: each block's
     temporaries stay under glibc's 128 KiB mmap threshold, so they reuse heap
     pages, where arrays the size of x were mapped and faulted in every call."""
     import numpy as np
     base, columns = _affine_columns(m)
     spans = [_xor_span(0, columns[lo : lo + 8]) for lo in range(0, m.width, 8)]
     out = np.empty(len(x), dtype=np.int64)
-    for start in range(0, len(x), POINT_BLOCK):
-        block, dest = x[start : start + POINT_BLOCK], out[start : start + POINT_BLOCK]
+    for start in range(0, len(x), _POINT_BLOCK):
+        block, dest = x[start : start + _POINT_BLOCK], out[start : start + _POINT_BLOCK]
         dest[:] = base
         for k, span in enumerate(spans):
             dest ^= span[(block >> 8 * k) & 0xFF]

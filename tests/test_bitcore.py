@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynls.bitcore import (
-    POINT_BLOCK,
+    _POINT_BLOCK,
     Affine,
     BitVec,
     BoolFn,
@@ -146,7 +146,7 @@ def test_apply_points_matches_the_table(data, width):
     drawn = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=64))
     # two whole blocks and a ragged one of three points
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    ragged = rng.integers(0, 1 << width, size=2 * POINT_BLOCK + 3, dtype=np.int64)
+    ragged = rng.integers(0, 1 << width, size=2 * _POINT_BLOCK + 3, dtype=np.int64)
     for x in (np.arange(1 << width), np.array(drawn, dtype=np.int64), ragged):
         for m in maps:
             assert np.array_equal(m.apply_points(x), m.to_table_array()[x])
