@@ -803,9 +803,9 @@ def test_compiled_program_survives_text_round_trip():
 
 def test_every_pair_of_consecutive_steps_at_width_3():
     # small scope, exhaustively: every mask-pair map and one output-driven
-    # map whose outputs take all 8 values, each under all 8 inputs, run in
-    # every order of two on one machine, so each step must overwrite all the
-    # wiring the step before it left (a bit-1 override, a changed amplitude)
+    # map whose outputs take all 8 values, each under all 8 inputs, every
+    # ordered pair on a fresh machine: the second step must overwrite all the
+    # wiring the first left (a bit-1 override, a changed amplitude)
     maps = [XorFamily(3, m0, m1, flip) for m0 in range(4) for m1 in range(4) for flip in (0, 1)]
     maps.append(PermTable(3, (5, 0, 7, 2, 6, 3, 1, 4)))
     steps = [(m, x) for m in maps for x in range(8)]
@@ -825,8 +825,8 @@ def test_every_pair_of_consecutive_steps_at_width_3():
             machine.run_until(EPOCH_TICKS - 1)
             machine.apply(p2)
             machine.run_until(2 * EPOCH_TICKS - 1)
-            got = (readout_physical(machine.trace, base, 3).value for base in (0, EPOCH_TICKS))
-            if (*got,) != (want1, m2.apply_int(x2)):
+            got = tuple(readout_physical(machine.trace, t, 3).value for t in (0, EPOCH_TICKS))
+            if got != (want1, m2.apply_int(x2)):
                 bad.append((m1, x1, m2, x2))
     assert not bad, (len(bad), bad[:3])
 
